@@ -19,6 +19,8 @@ class ByteWriter {
     std::memcpy(buf_.data() + at, &v, sizeof(T));
   }
   void put_bytes(std::span<const std::byte> bytes) {
+    // An empty span may have a null data(), which memcpy must not see.
+    if (bytes.empty()) return;
     const auto at = buf_.size();
     buf_.resize(at + bytes.size());
     std::memcpy(buf_.data() + at, bytes.data(), bytes.size());
@@ -53,6 +55,7 @@ class ByteReader {
     return v;
   }
   void get_bytes(std::span<std::byte> out) {
+    if (out.empty()) return;  // data() may be null, as in put_bytes
     check(out.size());
     std::memcpy(out.data(), data_.data() + at_, out.size());
     at_ += out.size();

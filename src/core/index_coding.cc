@@ -157,7 +157,8 @@ Tensor rice_encode_indices(std::span<const int32_t> indices, int k) {
     // Mean gap -> k = floor(log2(mean)); clamp to sane range.
     double mean = 1.0;
     if (!indices.empty()) {
-      mean = static_cast<double>(indices.back() + 1) /
+      // int64_t: indices.back() + 1 overflows int32_t at INT32_MAX.
+      mean = static_cast<double>(int64_t{indices.back()} + 1) /
              static_cast<double>(indices.size());
     }
     k = std::max(0, std::min(24, static_cast<int>(std::floor(std::log2(std::max(1.0, mean))))));

@@ -18,14 +18,76 @@ std::span<float> Optimizer::state(std::vector<Tensor>& store, size_t slot,
 
 namespace {
 
-// Shared weight-decay handling: returns grad[i] + wd * param[i].
-inline float g_at(const OptimizerConfig& cfg, std::span<const float> grad,
-                  std::span<const float> param, size_t i) {
-  float g = grad[i];
-  if (cfg.weight_decay != 0.0) {
-    g += static_cast<float>(cfg.weight_decay) * param[i];
-  }
+// The update loops run over __restrict raw pointers (apply() requires
+// param and grad not to overlap; state buffers are the optimizer's own),
+// and the weight-decay test is a template parameter hoisted out of the loop. With
+// -fno-math-errno (top-level CMakeLists.txt) sqrt needs no errno branch
+// either, so GCC vectorizes every loop. IEEE add/mul/div/sqrt are
+// correctly rounded in every vector lane and the op order is exactly as
+// written, so the vector loops are bitwise equal to a scalar loop.
+
+// The L2-decayed gradient g + wd * p.
+template <bool kWeightDecay>
+inline float decayed(float g, float p, float wd) {
+  if constexpr (kWeightDecay) g += wd * p;
   return g;
+}
+
+// Calls loop.template operator()<true or false>(), the template argument
+// being whether weight decay is on.
+template <typename Loop>
+void with_weight_decay(double weight_decay, Loop&& loop) {
+  if (weight_decay != 0.0) {
+    loop.template operator()<true>();
+  } else {
+    loop.template operator()<false>();
+  }
+}
+
+template <bool kWd>
+void sgd_update(float* __restrict param, const float* __restrict grad,
+                size_t n, float wd, float lr) {
+  for (size_t i = 0; i < n; ++i) {
+    param[i] -= lr * decayed<kWd>(grad[i], param[i], wd);
+  }
+}
+
+template <bool kWd, bool kNesterov>
+void momentum_update(float* __restrict param, const float* __restrict grad,
+                     float* __restrict v, size_t n, float wd, float lr,
+                     float mu) {
+  for (size_t i = 0; i < n; ++i) {
+    const float g = decayed<kWd>(grad[i], param[i], wd);
+    v[i] = mu * v[i] + g;
+    param[i] -= lr * (kNesterov ? g + mu * v[i] : v[i]);
+  }
+}
+
+template <bool kWd>
+void adam_update(float* __restrict param, const float* __restrict grad,
+                 float* __restrict m, float* __restrict v, size_t n, float wd,
+                 double b1, double b2, double bias1, double bias2, double lr,
+                 double eps) {
+  for (size_t i = 0; i < n; ++i) {
+    const float g = decayed<kWd>(grad[i], param[i], wd);
+    m[i] = static_cast<float>(b1 * m[i] + (1.0 - b1) * g);
+    v[i] = static_cast<float>(b2 * v[i] + (1.0 - b2) * g * g);
+    const double mhat = m[i] / bias1;
+    const double vhat = v[i] / bias2;
+    param[i] -= static_cast<float>(lr * mhat / (std::sqrt(vhat) + eps));
+  }
+}
+
+template <bool kWd>
+void rmsprop_update(float* __restrict param, const float* __restrict grad,
+                    float* __restrict s, size_t n, float wd, double rho,
+                    double lr, double eps) {
+  for (size_t i = 0; i < n; ++i) {
+    const float g = decayed<kWd>(grad[i], param[i], wd);
+    s[i] = static_cast<float>(rho * s[i] + (1.0 - rho) * g * g);
+    param[i] -= static_cast<float>(
+        lr * g / (std::sqrt(static_cast<double>(s[i])) + eps));
+  }
 }
 
 class Sgd final : public Optimizer {
@@ -33,10 +95,11 @@ class Sgd final : public Optimizer {
   using Optimizer::Optimizer;
   void apply(size_t, std::span<float> param,
              std::span<const float> grad) override {
-    const auto lr = static_cast<float>(cfg_.lr);
-    for (size_t i = 0; i < param.size(); ++i) {
-      param[i] -= lr * g_at(cfg_, grad, param, i);
-    }
+    with_weight_decay(cfg_.weight_decay, [&]<bool kWd>() {
+      sgd_update<kWd>(param.data(), grad.data(), param.size(),
+                      static_cast<float>(cfg_.weight_decay),
+                      static_cast<float>(cfg_.lr));
+    });
   }
 };
 
@@ -47,13 +110,18 @@ class Momentum final : public Optimizer {
   void apply(size_t slot, std::span<float> param,
              std::span<const float> grad) override {
     auto v = state(velocity_, slot, param.size());
+    const auto wd = static_cast<float>(cfg_.weight_decay);
     const auto lr = static_cast<float>(cfg_.lr);
     const auto mu = static_cast<float>(cfg_.momentum);
-    for (size_t i = 0; i < param.size(); ++i) {
-      const float g = g_at(cfg_, grad, param, i);
-      v[i] = mu * v[i] + g;
-      param[i] -= lr * (nesterov_ ? g + mu * v[i] : v[i]);
-    }
+    with_weight_decay(cfg_.weight_decay, [&]<bool kWd>() {
+      if (nesterov_) {
+        momentum_update<kWd, true>(param.data(), grad.data(), v.data(),
+                                   param.size(), wd, lr, mu);
+      } else {
+        momentum_update<kWd, false>(param.data(), grad.data(), v.data(),
+                                    param.size(), wd, lr, mu);
+      }
+    });
   }
 
  private:
@@ -73,15 +141,11 @@ class Adam final : public Optimizer {
     const double b1 = cfg_.beta1, b2 = cfg_.beta2;
     const double bias1 = 1.0 - std::pow(b1, t);
     const double bias2 = 1.0 - std::pow(b2, t);
-    const double lr = cfg_.lr;
-    for (size_t i = 0; i < param.size(); ++i) {
-      const float g = g_at(cfg_, grad, param, i);
-      m[i] = static_cast<float>(b1 * m[i] + (1.0 - b1) * g);
-      v[i] = static_cast<float>(b2 * v[i] + (1.0 - b2) * g * g);
-      const double mhat = m[i] / bias1;
-      const double vhat = v[i] / bias2;
-      param[i] -= static_cast<float>(lr * mhat / (std::sqrt(vhat) + cfg_.eps));
-    }
+    with_weight_decay(cfg_.weight_decay, [&]<bool kWd>() {
+      adam_update<kWd>(param.data(), grad.data(), m.data(), v.data(),
+                       param.size(), static_cast<float>(cfg_.weight_decay), b1,
+                       b2, bias1, bias2, cfg_.lr, cfg_.eps);
+    });
   }
 
  private:
@@ -95,13 +159,11 @@ class RmsProp final : public Optimizer {
   void apply(size_t slot, std::span<float> param,
              std::span<const float> grad) override {
     auto s = state(sq_, slot, param.size());
-    const double rho = cfg_.rho;
-    const double lr = cfg_.lr;
-    for (size_t i = 0; i < param.size(); ++i) {
-      const float g = g_at(cfg_, grad, param, i);
-      s[i] = static_cast<float>(rho * s[i] + (1.0 - rho) * g * g);
-      param[i] -= static_cast<float>(lr * g / (std::sqrt(static_cast<double>(s[i])) + cfg_.eps));
-    }
+    with_weight_decay(cfg_.weight_decay, [&]<bool kWd>() {
+      rmsprop_update<kWd>(param.data(), grad.data(), s.data(), param.size(),
+                          static_cast<float>(cfg_.weight_decay), cfg_.rho,
+                          cfg_.lr, cfg_.eps);
+    });
   }
 
  private:

@@ -33,7 +33,8 @@ class Optimizer {
   virtual ~Optimizer() = default;
 
   // Applies one update to parameter tensor `slot` given its aggregated
-  // gradient. Slots must be used consistently across iterations.
+  // gradient. Slots must be used consistently across iterations, and
+  // `param` must not overlap `grad` (the update loops are __restrict).
   virtual void apply(size_t slot, std::span<float> param,
                      std::span<const float> grad) = 0;
 

@@ -43,8 +43,14 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
+    ++submitted_;
   }
   cv_.notify_one();
+}
+
+uint64_t ThreadPool::submitted() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return submitted_;
 }
 
 void ThreadPool::worker_loop() {
@@ -73,10 +79,13 @@ int threads_from_env(const char* value) {
   char* end = nullptr;
   errno = 0;
   const long parsed = std::strtol(value, &end, 10);
+  // No digits ("  ", "abc") leaves end == value; test that before the
+  // trailing-whitespace skip below moves end.
+  if (end == value || errno == ERANGE) return fallback;
   // Tolerate surrounding whitespace (strtol already skips leading), but
   // any other trailing garbage means the value is not a thread count.
   while (*end != '\0' && std::isspace(static_cast<unsigned char>(*end))) ++end;
-  if (end == value || *end != '\0' || errno == ERANGE) return fallback;
+  if (*end != '\0') return fallback;
   // A parsed-but-senseless count (0, negative) clamps to 1 rather than
   // silently re-enabling full parallelism: the user asked for "as little
   // as possible", not for hardware_concurrency.
@@ -85,6 +94,22 @@ int threads_from_env(const char* value) {
 }
 
 int num_threads() { return ThreadPool::global().num_threads(); }
+
+namespace {
+// 0 = no LaneBudgetScope on this thread: the whole pool.
+thread_local int t_lane_budget = 0;
+}  // namespace
+
+int lane_budget() {
+  const int lanes = num_threads();
+  return t_lane_budget > 0 ? std::min(t_lane_budget, lanes) : lanes;
+}
+
+LaneBudgetScope::LaneBudgetScope(int lanes) : previous_(t_lane_budget) {
+  t_lane_budget = std::max(1, lanes);
+}
+
+LaneBudgetScope::~LaneBudgetScope() { t_lane_budget = previous_; }
 
 namespace detail {
 
@@ -104,6 +129,7 @@ struct Region {
   int64_t grain = 1;
   int64_t n = 0;
   int64_t chunks = 0;
+  int lanes = 1;  // the submitting thread's budget, inherited by helpers
   const std::function<void(int64_t, int64_t, int64_t)>* body = nullptr;
   std::atomic<int64_t> next{0};
   std::mutex mu;
@@ -147,10 +173,13 @@ void parallel_chunks_impl(
   region->n = n;
   region->chunks = chunks;
   region->body = &body;
-  const int64_t helpers =
-      std::min<int64_t>(pool.num_threads() - 1, chunks - 1);
+  region->lanes = lane_budget();
+  const int64_t helpers = std::min<int64_t>(region->lanes - 1, chunks - 1);
   for (int64_t i = 0; i < helpers; ++i) {
-    pool.submit([region] { region->run_chunks(); });
+    pool.submit([region] {
+      LaneBudgetScope scope(region->lanes);
+      region->run_chunks();
+    });
   }
   region->run_chunks();
   {

@@ -1,16 +1,22 @@
 // Process-wide deterministic parallel compute runtime.
 //
 // One shared ThreadPool serves every caller in the process — trainer worker
-// threads (one per simulated rank) and the main thread alike — so kernels
-// never oversubscribe the machine no matter how many ranks are running.
-// Pool size comes from GRACE_NUM_THREADS (default: hardware_concurrency).
+// threads (one per simulated rank) and the main thread alike. Pool size
+// comes from GRACE_NUM_THREADS (default: hardware_concurrency).
+//
+// Lane budget: each calling thread may use at most its lane budget of the
+// pool's lanes in one region (itself plus budget-1 submitted helpers). A
+// thread without a LaneBudgetScope gets the whole pool. train() gives each
+// of its n rank threads max(1, lanes / n), so n ranks share the pool
+// instead of each fanning out over all of it; a budget of 1 runs every
+// region inline on the caller, with no dispatch at all.
 //
 // Determinism contract: parallel_for / parallel_reduce split [0, n) into
 // chunks whose boundaries depend only on (n, grain) — never on the thread
-// count or on scheduling. parallel_reduce combines the per-chunk partials
-// in chunk order on the calling thread. A kernel built on these primitives
-// therefore produces bitwise-identical results with 1, 2, or 64 threads,
-// and with GRACE_NUM_THREADS=1 vs. unset.
+// count, the lane budget or on scheduling. parallel_reduce combines the
+// per-chunk partials in chunk order on the calling thread. A kernel built
+// on these primitives therefore produces bitwise-identical results with 1,
+// 2, or 64 threads, and with GRACE_NUM_THREADS=1 vs. unset.
 //
 // Deadlock freedom: the calling thread always participates in its own
 // region (it claims chunks from the same shared counter the workers do),
@@ -45,6 +51,9 @@ class ThreadPool {
   // Enqueue a task for the workers. Tasks must not block on other tasks.
   void submit(std::function<void()> task);
 
+  // Tasks submitted since the pool was created (tests check fan-out).
+  uint64_t submitted();
+
   // The process-wide pool, sized by GRACE_NUM_THREADS on first use.
   static ThreadPool& global();
 
@@ -63,6 +72,7 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_;
   bool stopping_ = false;
+  uint64_t submitted_ = 0;
 };
 
 // Parse a GRACE_NUM_THREADS value. null/empty/unparseable (non-numeric,
@@ -74,6 +84,25 @@ int threads_from_env(const char* value);
 // Total lanes (workers + caller) of the global pool.
 int num_threads();
 
+// Lanes the calling thread may use in one region: its installed budget,
+// capped at num_threads(); num_threads() when no LaneBudgetScope is active.
+int lane_budget();
+
+// Installs a lane budget (clamped to >= 1) for the current thread for the
+// scope's lifetime, restoring the previous budget on exit. Only shares out
+// the pool's lanes: GRACE_NUM_THREADS still sets the process total.
+class LaneBudgetScope {
+ public:
+  explicit LaneBudgetScope(int lanes);
+  ~LaneBudgetScope();
+
+  LaneBudgetScope(const LaneBudgetScope&) = delete;
+  LaneBudgetScope& operator=(const LaneBudgetScope&) = delete;
+
+ private:
+  int previous_;
+};
+
 namespace detail {
 
 // Fixed chunking of [0, n): ceil(n / grain) chunks of `grain` elements
@@ -81,13 +110,15 @@ namespace detail {
 int64_t num_chunks(int64_t n, int64_t grain);
 
 // Multi-threaded region execution (type-erased): runs body(chunk, begin,
-// end) once per chunk on the pool workers plus the caller; returns when
-// every chunk is done. Exceptions from body are rethrown on the caller.
+// end) once per chunk on the caller plus at most lane_budget()-1 pool
+// workers; returns when every chunk is done. Helpers run under the
+// caller's budget, so nested regions stay within it. Exceptions from body
+// are rethrown on the caller.
 void parallel_chunks_impl(
     int64_t n, int64_t grain,
     const std::function<void(int64_t, int64_t, int64_t)>& body);
 
-// Runs body(chunk_index, begin, end) once per chunk. The single-threaded /
+// Runs body(chunk_index, begin, end) once per chunk. The single-lane /
 // single-chunk fallback invokes the typed body directly — type-erasing it
 // through std::function would block inlining and constant propagation into
 // hot kernels (measured ~1.7x slowdown on the blocked GEMM); only work that
@@ -97,7 +128,7 @@ void parallel_chunks(int64_t n, int64_t grain, Body&& body) {
   if (n <= 0) return;
   if (grain < 1) grain = 1;
   const int64_t chunks = num_chunks(n, grain);
-  if (chunks == 1 || ThreadPool::global().num_threads() == 1) {
+  if (chunks == 1 || lane_budget() == 1) {
     // Same chunk boundaries, executed in order on the caller: bitwise
     // identical to the multi-threaded path.
     for (int64_t c = 0; c < chunks; ++c) {

@@ -142,6 +142,9 @@ struct RunResult {
   int64_t model_parameters = 0;
   int64_t gradient_tensors = 0;
   bool replicas_in_sync = true;
+  // Host context: shared-pool lanes each rank thread could use
+  // (runtime::LaneBudgetScope). Affects host time only, never results.
+  int lanes_per_rank = 1;
 
   // Adaptive-controller outcome (src/control, DESIGN.md §11): the full
   // decision log, final per-bucket arm assignments, and the serialized

@@ -107,6 +107,7 @@ std::string run_result_json(const RunResult& r) {
   os << ",\"model_parameters\":" << r.model_parameters;
   os << ",\"gradient_tensors\":" << r.gradient_tensors;
   os << ",\"replicas_in_sync\":" << (r.replicas_in_sync ? "true" : "false");
+  os << ",\"lanes_per_rank\":" << r.lanes_per_rank;
   os << ",\"parameters_crc32\":" << r.parameters_crc32;
   os << ",\"faults\":{";
   os << "\"attempts_staged\":" << r.faults.attempts_staged

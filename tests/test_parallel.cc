@@ -1,14 +1,17 @@
 // The deterministic parallel runtime: thread-pool stress (nested
 // submission from many worker threads), the fixed-chunk determinism
 // contract of parallel_for / parallel_reduce, bitwise reproducibility of
-// GEMM / reductions / top-k across thread counts, and thread-count
-// invariance of full training runs.
+// GEMM / reductions / top-k across thread counts, the per-thread lane
+// budget, and thread-count invariance of full training runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -139,6 +142,86 @@ TEST(ThreadPool, NestedSubmissionFromManyWorkerThreads) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+// --- Lane budget ----------------------------------------------------------
+
+// Runs a many-chunk region and returns the ids of the threads that ran its
+// chunks, plus the lane budget each chunk saw and the pool tasks it cost.
+struct RegionProbe {
+  std::set<std::thread::id> threads;
+  std::set<int> budgets;
+  uint64_t submitted = 0;
+};
+
+RegionProbe probe_region() {
+  RegionProbe probe;
+  std::mutex mu;
+  const uint64_t before = runtime::ThreadPool::global().submitted();
+  runtime::parallel_for(64 * 100, 64, [&](int64_t, int64_t) {
+    // Enough work per chunk that helpers get a chance to claim some.
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    std::lock_guard<std::mutex> lock(mu);
+    probe.threads.insert(std::this_thread::get_id());
+    probe.budgets.insert(runtime::lane_budget());
+  });
+  probe.submitted = runtime::ThreadPool::global().submitted() - before;
+  return probe;
+}
+
+TEST(LaneBudget, UnscopedThreadGetsWholePool) {
+  PoolGuard guard;
+  runtime::ThreadPool::global().resize(4);
+  EXPECT_EQ(runtime::lane_budget(), 4);
+  const RegionProbe probe = probe_region();
+  EXPECT_EQ(probe.submitted, 3u);
+  EXPECT_LE(probe.threads.size(), 4u);
+}
+
+TEST(LaneBudget, BudgetOfOneRunsEveryChunkOnTheCaller) {
+  PoolGuard guard;
+  runtime::ThreadPool::global().resize(4);
+  runtime::LaneBudgetScope scope(1);
+  EXPECT_EQ(runtime::lane_budget(), 1);
+  const RegionProbe probe = probe_region();
+  EXPECT_EQ(probe.submitted, 0u);
+  ASSERT_EQ(probe.threads.size(), 1u);
+  EXPECT_EQ(*probe.threads.begin(), std::this_thread::get_id());
+}
+
+TEST(LaneBudget, BudgetOfKSubmitsAtMostKMinusOneHelpers) {
+  PoolGuard guard;
+  runtime::ThreadPool::global().resize(8);
+  for (int k : {2, 3, 5}) {
+    runtime::LaneBudgetScope scope(k);
+    EXPECT_EQ(runtime::lane_budget(), k);
+    const RegionProbe probe = probe_region();
+    EXPECT_EQ(probe.submitted, static_cast<uint64_t>(k - 1)) << "k=" << k;
+    EXPECT_LE(probe.threads.size(), static_cast<size_t>(k)) << "k=" << k;
+    // Helpers run under the caller's budget, so nested regions keep to it.
+    EXPECT_EQ(probe.budgets, std::set<int>{k}) << "k=" << k;
+  }
+}
+
+TEST(LaneBudget, ScopesNestClampAndRestore) {
+  PoolGuard guard;
+  runtime::ThreadPool::global().resize(4);
+  {
+    runtime::LaneBudgetScope outer(2);
+    {
+      // Capped at the pool's lanes; a budget below one means one.
+      runtime::LaneBudgetScope inner(64);
+      EXPECT_EQ(runtime::lane_budget(), 4);
+      runtime::LaneBudgetScope zero(0);
+      EXPECT_EQ(runtime::lane_budget(), 1);
+    }
+    EXPECT_EQ(runtime::lane_budget(), 2);
+    // Budgets are per thread: another thread still sees the whole pool.
+    int other = 0;
+    std::thread([&] { other = runtime::lane_budget(); }).join();
+    EXPECT_EQ(other, 4);
+  }
+  EXPECT_EQ(runtime::lane_budget(), 4);
+}
+
 // --- Bitwise determinism across thread counts --------------------------
 
 std::vector<float> random_vec(size_t n, uint64_t seed) {
@@ -243,13 +326,28 @@ TEST(Determinism, TopkIdenticalAcrossThreadCountsAndMatchesBruteForce) {
 
 TEST(Determinism, TrainerLossesBitwiseIdenticalAcrossThreadCounts) {
   PoolGuard guard;
-  for (const char* spec : {"none", "topk(0.1)"}) {
-    sim::Benchmark b = sim::make_cnn_classification(0.1);
+  // cnn-small trains with momentum, ncf with Adam and unet-mini with
+  // RmsProp, so every optimizer's update loop is covered.
+  struct Case {
+    const char* name;
+    sim::Benchmark (*make)(double);
+    double scale;
+    const char* spec;
+  };
+  const Case cases[] = {
+      {"cnn", sim::make_cnn_classification, 0.1, "none"},
+      {"cnn", sim::make_cnn_classification, 0.1, "topk(0.1)"},
+      {"ncf", sim::make_ncf_recommendation, 0.1, "none"},
+      {"unet", sim::make_unet_segmentation, 0.1, "none"},
+  };
+  for (const Case& c : cases) {
+    const std::string spec = std::string(c.name) + "/" + c.spec;
+    sim::Benchmark b = c.make(c.scale);
     sim::TrainConfig cfg = sim::default_config(b);
     cfg.n_workers = 2;
     cfg.net.n_workers = 2;
     cfg.epochs = 1;
-    cfg.grace.compressor_spec = spec;
+    cfg.grace.compressor_spec = c.spec;
 
     runtime::ThreadPool::global().resize(1);
     const sim::RunResult r1 = sim::train(b.factory, cfg);
@@ -267,7 +365,11 @@ TEST(Determinism, TrainerLossesBitwiseIdenticalAcrossThreadCounts) {
           << spec << " epoch " << e;
     }
     EXPECT_EQ(r1.final_quality, r4.final_quality) << spec;
+    EXPECT_EQ(r1.parameters_crc32, r4.parameters_crc32) << spec;
     EXPECT_TRUE(r4.replicas_in_sync) << spec;
+    // Two ranks share the pool: one lane each at 1 thread, two at 4.
+    EXPECT_EQ(r1.lanes_per_rank, 1) << spec;
+    EXPECT_EQ(r4.lanes_per_rank, 2) << spec;
   }
 }
 
