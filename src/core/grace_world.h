@@ -126,8 +126,8 @@ class GraceWorker {
   // that could NOT be exchanged (a skipped round) into the error-feedback
   // residual — psi with an all-zero decompression, so the work feeds the
   // next round instead of being lost; a no-op when EF is off. rebind()
-  // swaps the communication endpoint and cost model after a crash shrinks
-  // the world: compressor state and EF residuals carry over untouched.
+  // swaps the communication endpoint and cost model when the membership
+  // view changes: compressor state and EF residuals carry over untouched.
   void absorb(const Tensor& grad, const std::string& name);
   void rebind(comm::Comm comm, const comm::NetworkModel& net);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "core/compressed.h"
 
@@ -14,9 +16,9 @@ int MembershipView::live_rank(int physical) const {
   return static_cast<int>(it - ranks.begin());
 }
 
-MembershipSchedule::MembershipSchedule(
-    int n_ranks, std::span<const faults::ChurnEvent> events)
-    : n_(n_ranks) {
+MembershipSchedule::MembershipSchedule(int n_ranks,
+                                       const faults::FaultSpec& spec,
+                                       faults::CrashPolicy policy) {
   if (n_ranks < 1) {
     throw std::invalid_argument("MembershipSchedule: n_ranks must be >= 1");
   }
@@ -26,30 +28,45 @@ MembershipSchedule::MembershipSchedule(
   for (int r = 0; r < n_ranks; ++r) full.ranks[static_cast<size_t>(r)] = r;
   views_.push_back(std::move(full));
 
-  std::vector<faults::ChurnEvent> sorted(events.begin(), events.end());
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const faults::ChurnEvent& a, const faults::ChurnEvent& b) {
-                     return a.epoch < b.epoch;
-                   });
-  size_t at = 0;
-  while (at < sorted.size()) {
-    const int epoch = sorted[at].epoch;
-    if (epoch < 1) {
+  // (iter_begin, event): churn events sit at epoch boundaries; the crash
+  // is one more leave, at its in-epoch position.
+  using Event = std::pair<int64_t, faults::ChurnEvent>;
+  auto position = [](const Event& e) {
+    return std::pair(e.second.epoch, e.first);
+  };
+  std::vector<Event> sorted;
+  for (const faults::ChurnEvent& e : spec.churn) {
+    if (e.epoch < 1) {
       throw std::invalid_argument(
           "MembershipSchedule: churn epoch must be >= 1 (epoch 0 always "
           "starts at full strength)");
     }
+    sorted.emplace_back(MembershipView::kBoundary, e);
+  }
+  if (spec.has_crash()) {
+    sorted.emplace_back(spec.crash_iter,
+                        faults::ChurnEvent{spec.crash_epoch, spec.crash_rank});
+  }
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [&](const Event& a, const Event& b) {
+                     return position(a) < position(b);
+                   });
+  size_t at = 0;
+  while (at < sorted.size()) {
+    const auto pos = position(sorted[at]);
+    const int epoch = pos.first;
     MembershipView next = views_.back();
-    next.epoch_begin = epoch;
-    // All events at the same boundary apply together, against the previous
+    std::tie(next.epoch_begin, next.iter_begin) = pos;
+    // All events at the same position apply together, against the previous
     // view — a rank cannot leave and rejoin within one transition.
-    while (at < sorted.size() && sorted[at].epoch == epoch) {
-      const faults::ChurnEvent& e = sorted[at++];
+    while (at < sorted.size() && position(sorted[at]) == pos) {
+      const faults::ChurnEvent& e = sorted[at++].second;
       if (e.rank <= 0 || e.rank >= n_ranks) {
         throw std::invalid_argument(
-            "MembershipSchedule: churn rank " + std::to_string(e.rank) +
+            "MembershipSchedule: rank " + std::to_string(e.rank) +
             " outside [1, " + std::to_string(n_ranks) +
-            ") — joiners must be physical ranks of the original fleet");
+            ") — rank 0 never leaves, and joiners must be physical ranks "
+            "of the original fleet");
       }
       const auto it =
           std::lower_bound(next.ranks.begin(), next.ranks.end(), e.rank);
@@ -76,22 +93,26 @@ MembershipSchedule::MembershipSchedule(
       throw std::invalid_argument(
           "MembershipSchedule: every view must contain rank 0");
     }
+    const bool halt =
+        next.in_epoch() && policy == faults::CrashPolicy::Halt;
+    if (halt) next.ranks.clear();  // the timeline ends at the crash
     views_.push_back(std::move(next));
+    if (halt) break;
   }
 }
 
-const MembershipView& MembershipSchedule::view_at(int epoch) const {
-  return views_[static_cast<size_t>(segment_at(epoch))];
+const MembershipView& MembershipSchedule::view_at(int epoch,
+                                                  int64_t iter) const {
+  return views_[static_cast<size_t>(segment_at(epoch, iter))];
 }
 
-int MembershipSchedule::segment_at(int epoch) const {
-  if (views_.empty()) {
-    throw std::logic_error(
-        "MembershipSchedule: default-constructed schedule has no views");
-  }
+int MembershipSchedule::segment_at(int epoch, int64_t iter) const {
   int seg = 0;
   for (size_t i = 1; i < views_.size(); ++i) {
-    if (views_[i].epoch_begin <= epoch) seg = static_cast<int>(i);
+    if (std::pair(views_[i].epoch_begin, views_[i].iter_begin) <=
+        std::pair(epoch, iter)) {
+      seg = static_cast<int>(i);
+    }
   }
   return seg;
 }

@@ -1,12 +1,15 @@
-// Membership epochs (docs/RESILIENCE.md): the elastic-world generalization
-// of the PR-4 crash hand-off. A MembershipSchedule turns a FaultSpec's
-// churn events into an ordered sequence of world views — each view is the
-// set of physical ranks alive for a span of epochs, and transitions happen
-// only at epoch boundaries. Views can shrink (leaves) AND grow (joins);
-// rank 0 is pinned alive in every view. Because events carry ABSOLUTE
-// epochs, a `start_epoch` resume under the same spec replays exactly the
-// tail of the schedule, which is what makes staged elastic runs bit-equal
-// to uninterrupted ones.
+// Membership epochs (docs/RESILIENCE.md): the one mechanism that changes
+// the world during a run. A MembershipSchedule turns a FaultSpec's churn
+// events AND its crash into an ordered sequence of world views — each view
+// is the set of physical ranks alive from one position of the run to the
+// next. Churn transitions happen at epoch boundaries, before the epoch's
+// data partition is taken; the crash is a leave inside its epoch, just
+// before iteration crash_iter and after the partition (under
+// CrashPolicy::Halt it ends the timeline instead). Views can shrink
+// (leaves, the crash) AND grow (joins); rank 0 is pinned alive in every
+// view. Because events carry ABSOLUTE positions, a `start_epoch` resume
+// under the same spec replays exactly the tail of the schedule, which is
+// what makes staged elastic runs bit-equal to uninterrupted ones.
 //
 // Joiners bootstrap their model parameters (and error-feedback residuals)
 // from the surviving rank 0 via a CRC-sealed frame on the existing
@@ -16,6 +19,7 @@
 // sides iterate the same bucket plan, so names need not be encoded.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -25,10 +29,18 @@
 namespace grace::core {
 
 struct MembershipView {
-  int epoch_begin = 0;     // first absolute epoch this view governs
-  std::vector<int> ranks;  // physical ranks, ascending; always contains 0
+  static constexpr int64_t kBoundary = -1;  // iter_begin at an epoch boundary
+
+  int epoch_begin = 0;  // first absolute epoch this view governs
+  // kBoundary, or the iteration of epoch_begin before which an in-epoch
+  // view (the crash) takes over; (epoch, iter) order puts boundaries first.
+  int64_t iter_begin = kBoundary;
+  // Physical ranks, ascending; contains 0, except in the empty terminal
+  // view a CrashPolicy::Halt crash ends the timeline with.
+  std::vector<int> ranks;
 
   int size() const { return static_cast<int>(ranks.size()); }
+  bool in_epoch() const { return iter_begin != kBoundary; }
   bool contains(int physical) const { return live_rank(physical) >= 0; }
   // Contiguous live rank of a physical rank in this view, or -1 if absent.
   int live_rank(int physical) const;
@@ -36,23 +48,27 @@ struct MembershipView {
 
 class MembershipSchedule {
  public:
-  MembershipSchedule() = default;  // single static view of size 0
-  // Full fleet {0..n_ranks-1} at epoch 0; events applied in epoch order.
-  // Throws std::invalid_argument on inconsistent plans: epoch < 1, rank
-  // outside [1, n_ranks), leave of an absent rank, join of a present rank,
-  // or a view that would drop to zero members.
-  MembershipSchedule(int n_ranks, std::span<const faults::ChurnEvent> events);
+  // A fault plan's whole timeline: its churn events plus, when it has one,
+  // its crash — a leave of crash_rank at (crash_epoch, crash_iter), or
+  // under CrashPolicy::Halt an empty terminal view there (later events
+  // never fire). Full fleet {0..n_ranks-1} at epoch 0; events applied in
+  // position order. Throws std::invalid_argument on inconsistent plans:
+  // churn epoch < 1, rank outside [1, n_ranks), leave of an absent rank,
+  // join of a present rank, or a view without rank 0.
+  MembershipSchedule(
+      int n_ranks, const faults::FaultSpec& spec,
+      faults::CrashPolicy policy = faults::CrashPolicy::Continue);
 
-  int n_ranks() const { return n_; }
   bool elastic() const { return views_.size() > 1; }
   const std::vector<MembershipView>& views() const { return views_; }
-  // The view governing absolute epoch `epoch` (the last view whose
-  // epoch_begin <= epoch) and its index in views().
-  const MembershipView& view_at(int epoch) const;
-  int segment_at(int epoch) const;
+  // The view governing position (epoch, iter) — the last view beginning at
+  // or before it — and its index in views(). The default position is the
+  // epoch boundary, before any in-epoch event of that epoch.
+  const MembershipView& view_at(
+      int epoch, int64_t iter = MembershipView::kBoundary) const;
+  int segment_at(int epoch, int64_t iter = MembershipView::kBoundary) const;
 
  private:
-  int n_ = 0;
   std::vector<MembershipView> views_;
 };
 

@@ -95,11 +95,6 @@ FaultPlan::FaultPlan(const FaultSpec& spec) : spec_(spec) {
         "FaultSpec: outage_rank 0 is not supported — rank 0 must stay "
         "connected");
   }
-  if (spec.has_crash() && spec.has_churn()) {
-    throw std::invalid_argument(
-        "FaultSpec: crash_rank and churn events are mutually exclusive — "
-        "model the crash as a churn leave event instead");
-  }
   for (const ChurnEvent& e : spec.churn) {
     if (e.epoch < 1) {
       throw std::invalid_argument(

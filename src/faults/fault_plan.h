@@ -19,8 +19,8 @@ inline constexpr uint8_t kAttemptCorrupt = 2;  // arrived bit-flipped, NACK
 
 // What the trainer does when the planned crash fires.
 enum class CrashPolicy {
-  Continue,  // survivors shrink to an (n-1)-rank world and keep training
-  Halt,      // the whole run stops at the crash boundary
+  Continue,  // the crash is a leave: survivors keep training without it
+  Halt,      // the membership timeline, and so the run, ends at the crash
 };
 
 // One membership transition: `rank` leaves (join == false) or rejoins
@@ -63,8 +63,8 @@ struct FaultSpec {
   int64_t crash_iter = 0;
 
   // Elastic membership: planned leave/join events at epoch boundaries.
-  // Mutually exclusive with the one-shot crash above (a churn leave event
-  // subsumes it). See core/membership.h for the schedule semantics.
+  // They share one timeline with the crash above, which is a leave inside
+  // its epoch. See core/membership.h for the schedule semantics.
   std::vector<ChurnEvent> churn;
 
   // Partial participation: each round, every non-root rank independently
@@ -131,14 +131,6 @@ class FaultPlan {
   // per-round lottery at participation_rate decides. Deterministic in the
   // coordinates alone, so every rank computes the same roster.
   bool participates(int rank, int epoch, int64_t iter) const;
-
-  bool has_crash() const { return spec_.has_crash(); }
-  // True exactly at the crash boundary (the crashing rank exits before
-  // running this iteration).
-  bool crash_at(int epoch, int64_t iter) const {
-    return spec_.has_crash() && epoch == spec_.crash_epoch &&
-           iter == spec_.crash_iter;
-  }
 
  private:
   uint64_t hash(uint64_t kind, uint64_t a, uint64_t b, uint64_t c) const;

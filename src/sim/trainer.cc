@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "comm/collectives.h"
 #include "control/controller.h"
@@ -25,15 +26,22 @@
 namespace grace::sim {
 namespace {
 
+// One iteration of one rank's log. Inactive rows are the zero
+// placeholders a rank parked out of the fleet (awaiting a rejoin) pushes;
+// post-processing skips them when taking cross-rank maxima.
+struct IterRow {
+  bool active = false;
+  float loss = 0.0f;
+  double compress_s = 0.0;    // measured compress + memory update
+  double decompress_s = 0.0;  // measured Q^-1 over received payloads
+  double comm_s = 0.0;        // simulated comm
+  double pipe_s = 0.0;        // exchange-pipeline end (TimeModel::overlap)
+  double stall_s = 0.0;       // simulated fault stall
+  uint64_t wire_bytes = 0;    // logical bytes
+};
+
 struct WorkerLog {
-  std::vector<float> losses;          // per iteration
-  std::vector<double> compress_s;     // measured compress + memory update
-  std::vector<double> decompress_s;   // measured Q^-1 over received payloads
-  std::vector<double> comm_s;         // simulated comm per iter
-  std::vector<double> pipe_s;         // exchange-pipeline end per iter
-                                      // (TimeModel::overlap runs only)
-  std::vector<double> stall_s;        // simulated fault stall per iter
-  std::vector<uint64_t> wire_bytes;   // logical bytes per iter
+  std::vector<IterRow> rows;          // per iteration
   std::vector<bool> sync_ok;          // per epoch
   // Per-epoch iteration counts (rank 0 only; epochs shrink after a crash).
   std::vector<int64_t> epoch_iters;
@@ -48,12 +56,6 @@ struct WorkerLog {
   uint64_t sat_out_rounds = 0;  // rounds sat out (lottery loss or outage)
   uint64_t outages = 0;         // connectivity windows entered
   double outage_stall_s = 0.0;  // reconnect stalls charged
-  // Per-iteration membership flag, aligned with the vectors above: 0 rows
-  // are placeholders pushed while this rank was parked out of the fleet
-  // (churn runs only — without churn every row is 1). Post-processing
-  // skips inactive rows when taking cross-rank maxima.
-  std::vector<uint8_t> active;
-  bool crashed = false;  // this rank was the plan's casualty
 };
 
 // The epoch's global sample order; identical on every worker because the
@@ -75,6 +77,25 @@ constexpr int kControlTagBase = -1000000;
 // membership boundary, keyed by the absolute epoch, far below the
 // controller's band (boundary counts never approach 1e6).
 constexpr int kBootstrapTagBase = -2000000;
+
+// The replica's parameters, flattened in module order.
+std::vector<float> flat_parameters(models::DistributedModel& model) {
+  std::vector<float> out;
+  out.reserve(static_cast<size_t>(model.module().num_parameters()));
+  for (auto& p : model.module().parameters()) {
+    auto v = p.value->data.f32();
+    out.insert(out.end(), v.begin(), v.end());
+  }
+  return out;
+}
+
+// The run's membership timeline: the plan's churn events and its crash.
+// Without a plan it is one view of the whole fleet.
+core::MembershipSchedule make_timeline(const TrainConfig& cfg) {
+  return core::MembershipSchedule(
+      cfg.n_workers, cfg.faults ? cfg.faults->spec() : faults::FaultSpec{},
+      cfg.crash_policy);
+}
 
 }  // namespace
 
@@ -99,28 +120,24 @@ void TrainConfig::validate() const {
   // thread world (n_workers) and the cost model's fleet (net.n_workers) —
   // since the PS shard ranks must exist in both.
   grace.topology.validate(std::min(n_workers, net.n_workers));
-  if (faults != nullptr && faults->spec().has_churn()) {
-    if (grace.control.enabled()) {
-      throw std::invalid_argument(
-          "TrainConfig: the adaptive controller cannot run under a churn "
-          "plan — parked ranks would miss its signal allreduces and the "
-          "decision sequences would diverge");
-    }
-    // Consistency of the events themselves (leave of an absent rank, join
-    // of a present one, rank 0 churning, ranks outside the fleet) — fail
-    // here, on the caller's thread, not inside a worker.
-    core::MembershipSchedule(
-        n_workers,
-        std::span<const faults::ChurnEvent>(faults->spec().churn));
+  // Consistency of the membership timeline (leave of an absent rank, join
+  // of a present one, rank 0 leaving, crash or churn ranks outside the
+  // fleet) — fail here, on the caller's thread, not inside a worker.
+  make_timeline(*this);
+  if (grace.control.enabled() && faults != nullptr &&
+      std::any_of(faults->spec().churn.begin(), faults->spec().churn.end(),
+                  [](const faults::ChurnEvent& e) { return e.join; })) {
+    throw std::invalid_argument(
+        "TrainConfig: the adaptive controller cannot run under a plan with "
+        "joins — parked ranks would miss its signal allreduces and the "
+        "decision sequences would diverge");
   }
-  if (faults == nullptr || !faults->spec().has_churn()) {
-    if (!grace.control.resume_state.empty() && start_epoch == 0) {
-      // Resume state with start_epoch 0 is a schedule mismatch: the
-      // controller would replay decisions against the wrong boundaries.
-      throw std::invalid_argument(
-          "TrainConfig: control.resume_state requires start_epoch > 0 — a "
-          "fresh run cannot resume a decision log");
-    }
+  if (!grace.control.resume_state.empty() && start_epoch == 0) {
+    // Resume state with start_epoch 0 is a schedule mismatch: the
+    // controller would replay decisions against the wrong boundaries.
+    throw std::invalid_argument(
+        "TrainConfig: control.resume_state requires start_epoch > 0 — a "
+        "fresh run cannot resume a decision log");
   }
 }
 
@@ -171,80 +188,53 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
 
   const int64_t global_batch = static_cast<int64_t>(n) * cfg.batch_per_worker;
 
-  // Fault-plan setup: validate the crash coordinates against this run's
-  // schedule, install the injector on the world, and pre-build the shrunk
-  // world the survivors hand off to (docs/RESILIENCE.md).
+  // Fault-plan setup (docs/RESILIENCE.md): the injector on the base world.
   const faults::FaultPlan* const plan = cfg.faults;
   std::unique_ptr<faults::FaultInjector> injector;
-  std::unique_ptr<faults::FaultInjector> shrunk_injector;
-  std::unique_ptr<comm::World> shrunk;
   if (plan != nullptr) {
-    const faults::FaultSpec& spec = plan->spec();
-    const bool crash_fires = spec.has_crash() &&
-                             spec.crash_epoch >= cfg.start_epoch &&
-                             spec.crash_epoch < cfg.start_epoch + cfg.epochs;
-    if (crash_fires) {
-      if (n < 2) {
-        throw std::invalid_argument(
-            "TrainConfig: a crash plan needs at least 2 workers");
-      }
-      if (spec.crash_rank >= n) {
-        throw std::invalid_argument("TrainConfig: crash_rank out of range");
-      }
-      const int64_t iters = std::max<int64_t>(1, probe_train_n / global_batch);
-      if (spec.crash_iter >= iters) {
-        throw std::invalid_argument(
-            "TrainConfig: crash_iter is beyond the crash epoch's iteration "
-            "count");
-      }
-    }
     injector = std::make_unique<faults::FaultInjector>(plan, base_net, n);
     world.install_faults(injector.get());
-    if (crash_fires && cfg.crash_policy == faults::CrashPolicy::Continue) {
-      // The shrunk world gets its own injector: survivor live-ranks would
-      // otherwise collide with pre-crash physical ranks in the slot space
-      // (live rank crash_rank is a *different thread* than physical rank
-      // crash_rank), racing on stall accumulators around the hand-off.
-      // Fresh per-link sequence counters are equally deterministic.
-      comm::NetworkModel shrunk_net = base_net;
-      shrunk_net.n_workers = n - 1;
-      shrunk_injector =
-          std::make_unique<faults::FaultInjector>(plan, shrunk_net, n - 1);
-      shrunk = std::make_unique<comm::World>(n - 1);
-      shrunk->install_faults(shrunk_injector.get());
-    }
   }
 
-  // Membership-epoch setup (core/membership.h): turn the plan's churn
-  // events into ordered world views and pre-build one thread world (plus
-  // injector) per shrunken view. Views at full strength reuse the base
-  // world — all n physical ranks are members, so comm ranks line up.
-  // Everything is built on this thread; workers only ever rebind onto
-  // pre-existing endpoints at epoch boundaries.
-  const bool churn_on = plan != nullptr && plan->spec().has_churn();
-  std::optional<core::MembershipSchedule> membership;
-  std::vector<std::unique_ptr<comm::World>> view_worlds;
-  std::vector<std::unique_ptr<faults::FaultInjector>> view_injectors;
-  std::vector<comm::NetworkModel> view_nets;
-  if (churn_on) {
-    membership.emplace(n, std::span<const faults::ChurnEvent>(
-                              plan->spec().churn));
-    const auto& views = membership->views();
-    view_worlds.resize(views.size());
-    view_injectors.resize(views.size());
-    view_nets.reserve(views.size());
-    for (size_t v = 0; v < views.size(); ++v) {
-      const core::MembershipView& view = views[v];
-      comm::NetworkModel vnet = cfg.fleet.bottleneck(
-          cfg.net, std::span<const int>(view.ranks));
-      vnet.n_workers = view.size();
-      view_nets.push_back(vnet);
-      if (view.size() < n) {
-        view_worlds[v] = std::make_unique<comm::World>(view.size());
-        view_injectors[v] =
-            std::make_unique<faults::FaultInjector>(plan, vnet, view.size());
-        view_worlds[v]->install_faults(view_injectors[v].get());
-      }
+  // Membership timeline (core/membership.h): the plan's churn events and
+  // its crash as ordered world views, with one thread world and injector
+  // pre-built per shrunken view — its live ranks would otherwise share
+  // stall slots with other physical ranks of the previous view around the
+  // hand-off. Views at full strength reuse the base world: all n physical
+  // ranks are members, so comm ranks line up. Everything is built on this
+  // thread; workers only ever rebind onto pre-existing endpoints. A run
+  // without events has the single view 0 and builds nothing here.
+  const core::MembershipSchedule membership = make_timeline(cfg);
+  const std::vector<core::MembershipView>& views = membership.views();
+  // An epoch's iteration count, fixed by the view its partition is taken
+  // over.
+  auto iters_over = [&](const core::MembershipView& view) {
+    return std::max<int64_t>(
+        1, probe_train_n /
+               (static_cast<int64_t>(view.size()) * cfg.batch_per_worker));
+  };
+  std::vector<std::unique_ptr<comm::World>> view_worlds(views.size());
+  std::vector<std::unique_ptr<faults::FaultInjector>> view_injectors(
+      views.size());
+  std::vector<comm::NetworkModel> view_nets(views.size());
+  for (size_t v = 1; v < views.size(); ++v) {
+    const core::MembershipView& view = views[v];
+    // An in-epoch view (the crash) must fall inside its epoch, which is
+    // partitioned over the view before it.
+    if (view.in_epoch() && view.iter_begin >= iters_over(views[v - 1])) {
+      throw std::invalid_argument(
+          "TrainConfig: crash_iter is beyond the crash epoch's iteration "
+          "count");
+    }
+    if (view.size() == 0) continue;  // Halt: nobody runs past it
+    view_nets[v] =
+        cfg.fleet.bottleneck(cfg.net, std::span<const int>(view.ranks));
+    view_nets[v].n_workers = view.size();
+    if (view.size() < n) {
+      view_worlds[v] = std::make_unique<comm::World>(view.size());
+      view_injectors[v] = std::make_unique<faults::FaultInjector>(
+          plan, view_nets[v], view.size());
+      view_worlds[v]->install_faults(view_injectors[v].get());
     }
   }
 
@@ -367,15 +357,19 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
       }
     }
 
-    // Live-world view; changes once if the planned crash shrinks the world,
-    // or at any epoch boundary of a churn plan's membership schedule.
-    int live_n = n;
+    // Live-world binding: view 0 (the whole fleet on the base world) until
+    // the timeline moves this rank to a later view.
+    size_t bound = 0;
+    bool member = true;  // in views[bound]
     int live_rank = rank;
-    int64_t live_global_batch = global_batch;
     faults::FaultInjector* live_injector = injector.get();
-    bool crashed_out = false;  // this worker is the plan's casualty
-    bool halted = false;       // CrashPolicy::Halt fired
-    bool member = true;        // in the current membership view (churn runs)
+    // The last view this rank is a member of: once the timeline moves past
+    // it the rank has left for good and its loop ends; before that, a
+    // non-member is parked awaiting a rejoin.
+    size_t last_view = 0;
+    for (size_t v = 0; v < views.size(); ++v) {
+      if (views[v].contains(rank)) last_view = v;
+    }
     const bool pp_on =
         plan != nullptr && plan->spec().has_partial_participation();
 
@@ -462,7 +456,75 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
       }
     };
 
-    for (int e0 = 0; e0 < cfg.epochs && !crashed_out && !halted; ++e0) {
+    // Every world change — crash, leave, join — goes through here: rebind
+    // onto views[seg] (world endpoint, bottleneck net over the members,
+    // contiguous live renumbering) and restart the exchange tag sequence
+    // so ranks whose tag counters froze while parked agree with the others
+    // on PS shard routing. Compressor and error-feedback state carry over.
+    // With `bootstrap`, joiners then take parameters (+ EF residuals) from
+    // live rank 0 over the CRC-sealed frame path before their first
+    // iteration. A non-member only records the view.
+    auto enter_view = [&](size_t seg, int epoch, bool bootstrap) {
+      const core::MembershipView& prev = views[bound];
+      const core::MembershipView& view = views[seg];
+      bound = seg;
+      member = view.contains(rank);
+      if (!member) return;
+      live_rank = view.live_rank(rank);
+      live_injector =
+          view_injectors[seg] ? view_injectors[seg].get() : injector.get();
+      comm = (view_worlds[seg] ? *view_worlds[seg] : world).comm(live_rank);
+      grace.rebind(comm, view_nets[seg]);
+      grace.reset_tags();
+      if (!bootstrap) return;
+      const int btag = kBootstrapTagBase - epoch;
+      if (!prev.contains(rank)) {
+        // Joiner: install rank 0's parameters (and EF residuals, in
+        // bucket order). deserialize verifies the frame's CRC.
+        const core::BootstrapState st =
+            core::open_bootstrap_frame(comm.recv(0, btag));
+        size_t at = 0;
+        for (auto& p : model->module().parameters()) {
+          auto pv = p.value->data.f32();
+          std::copy_n(st.params.begin() + static_cast<int64_t>(at),
+                      pv.size(), pv.begin());
+          at += pv.size();
+        }
+        for (size_t b = 0; b < st.residuals.size() && b < n_buckets; ++b) {
+          grace.install_residual(sched.buckets()[b].name, st.residuals[b]);
+        }
+      } else if (live_rank == 0) {
+        Tensor frame;  // sealed once, sent to every joiner
+        for (int r : view.ranks) {
+          if (prev.contains(r)) continue;
+          if (frame.empty()) {
+            std::vector<Tensor> residuals;
+            if (grace.error_feedback_enabled()) {
+              residuals.reserve(n_buckets);
+              for (size_t b = 0; b < n_buckets; ++b) {
+                residuals.push_back(grace.residual_snapshot(
+                    sched.buckets()[b].name,
+                    Tensor::zeros(Shape{{sched.buckets()[b].numel}})));
+              }
+            }
+            frame = core::seal_bootstrap_frame(flat_parameters(*model),
+                                               residuals);
+          }
+          comm.send(view.live_rank(r), frame, btag);
+        }
+      }
+    };
+    // Parked out of the fleet: push one inactive row per member iteration
+    // so every rank's log stays index-aligned, and keep the critical-path
+    // collector aligned too.
+    auto park = [&](int64_t iters) {
+      log.rows.resize(log.rows.size() + static_cast<size_t>(iters));
+      if (cpath) {
+        for (int64_t it = 0; it < iters; ++it) cpath->record(rank, {});
+      }
+    };
+
+    for (int e0 = 0; e0 < cfg.epochs && bound <= last_view; ++e0) {
       const int epoch = cfg.start_epoch + e0;
       // The lr schedule runs on EVERY rank, parked ones included: a parked
       // rank's optimizer must track the members' decays so its state is
@@ -471,147 +533,46 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
         optimizer->set_lr(optimizer->lr() * cfg.lr_decay_factor);
       }
 
-      // Membership transition (churn runs): every member rank rebinds onto
-      // this epoch's view at the boundary — world endpoint, bottleneck net
-      // over the members, contiguous live renumbering — and restarts the
-      // exchange tag sequence so ranks whose tag counters froze while
-      // parked agree with survivors on PS shard routing. Joiners then
-      // bootstrap parameters (+ EF residuals) from live rank 0 over the
-      // CRC-sealed frame path before the first iteration.
-      const core::MembershipView* view = nullptr;
-      if (churn_on) {
-        const int seg = membership->segment_at(epoch);
-        view = &membership->views()[static_cast<size_t>(seg)];
-        const bool was_member = member;
-        member = view->contains(rank);
-        if (member) {
-          live_n = view->size();
-          live_rank = view->live_rank(rank);
-          live_global_batch =
-              static_cast<int64_t>(live_n) * cfg.batch_per_worker;
-          comm::World* const vw = view_worlds[static_cast<size_t>(seg)]
-                                      ? view_worlds[static_cast<size_t>(seg)].get()
-                                      : &world;
-          live_injector = view_injectors[static_cast<size_t>(seg)]
-                              ? view_injectors[static_cast<size_t>(seg)].get()
-                              : injector.get();
-          comm = vw->comm(live_rank);
-          grace.rebind(comm, view_nets[static_cast<size_t>(seg)]);
-          grace.reset_tags();
-          if (e0 > 0) {
-            const int btag = kBootstrapTagBase - epoch;
-            if (!was_member) {
-              // Joiner: install rank 0's parameters (and EF residuals, in
-              // bucket order). deserialize verifies the frame's CRC.
-              const core::BootstrapState st =
-                  core::open_bootstrap_frame(comm.recv(0, btag));
-              size_t at = 0;
-              for (auto& p : model->module().parameters()) {
-                auto v = p.value->data.f32();
-                std::copy_n(st.params.begin() + static_cast<int64_t>(at),
-                            v.size(), v.begin());
-                at += v.size();
-              }
-              for (size_t b = 0; b < st.residuals.size() && b < n_buckets;
-                   ++b) {
-                grace.install_residual(sched.buckets()[b].name,
-                                       st.residuals[b]);
-              }
-            } else if (live_rank == 0) {
-              const core::MembershipView& prev =
-                  membership->view_at(epoch - 1);
-              Tensor frame;  // sealed once, sent to every joiner
-              for (int r : view->ranks) {
-                if (prev.contains(r)) continue;
-                if (frame.empty()) {
-                  std::vector<float> params;
-                  params.reserve(static_cast<size_t>(
-                      model->module().num_parameters()));
-                  for (auto& p : model->module().parameters()) {
-                    auto v = p.value->data.f32();
-                    params.insert(params.end(), v.begin(), v.end());
-                  }
-                  std::vector<Tensor> residuals;
-                  if (grace.error_feedback_enabled()) {
-                    residuals.reserve(n_buckets);
-                    for (size_t b = 0; b < n_buckets; ++b) {
-                      residuals.push_back(grace.residual_snapshot(
-                          sched.buckets()[b].name,
-                          Tensor::zeros(Shape{{sched.buckets()[b].numel}})));
-                    }
-                  }
-                  frame = core::seal_bootstrap_frame(
-                      std::span<const float>(params),
-                      std::span<const Tensor>(residuals));
-                }
-                comm.send(view->live_rank(r), frame, btag);
-              }
-            }
-          }
-        }
-      }
-
-      // Parked out of the fleet this epoch: push one zero row per member
-      // iteration so every rank's log stays index-aligned (post-processing
-      // skips inactive rows), keep the critical-path collector aligned,
-      // and sit out the exchanges, check_sync and eval entirely.
-      if (churn_on && !member) {
-        const int64_t view_batch =
-            static_cast<int64_t>(view->size()) * cfg.batch_per_worker;
-        const int64_t parked_iters = std::max<int64_t>(1, train_n / view_batch);
-        for (int64_t it = 0; it < parked_iters; ++it) {
-          log.active.push_back(0);
-          log.losses.push_back(0.0f);
-          log.compress_s.push_back(0.0);
-          log.decompress_s.push_back(0.0);
-          log.comm_s.push_back(0.0);
-          log.stall_s.push_back(0.0);
-          log.wire_bytes.push_back(0);
-          if (cfg.time.overlap) log.pipe_s.push_back(0.0);
-          if (cpath) cpath->record(rank, {});
-        }
+      // Boundary events (churn) apply before the epoch's data partition is
+      // taken. Joins bootstrap only inside a run: at its first epoch the
+      // factory supplied every replica's state.
+      const auto seg = static_cast<size_t>(membership.segment_at(epoch));
+      if (seg != bound) enter_view(seg, epoch, /*bootstrap=*/e0 > 0);
+      if (bound > last_view) break;  // left for good
+      const int64_t iters_per_epoch = iters_over(views[bound]);
+      if (!member) {
+        park(iters_per_epoch);  // sits out the exchanges, check_sync, eval
         continue;
       }
 
       const auto order = epoch_order(train_n, cfg.seed, epoch);
-      // The data partition is fixed at epoch start. A mid-epoch crash keeps
-      // these positions — survivors finish the epoch on the old schedule
-      // with the dead rank's slices simply dropped (degraded rounds) — and
-      // only the next epoch re-partitions over the survivors.
+      // The data partition is fixed at epoch start. In-epoch events (a
+      // crash) keep these positions — survivors finish the epoch on the
+      // old schedule with the dead rank's slices simply dropped (degraded
+      // rounds) — and only the next epoch re-partitions over the survivors.
       const int sched_rank = live_rank;
-      const int64_t sched_global_batch = live_global_batch;
-      const int64_t iters_per_epoch =
-          std::max<int64_t>(1, train_n / sched_global_batch);
+      const int64_t sched_global_batch =
+          static_cast<int64_t>(views[bound].size()) * cfg.batch_per_worker;
+      // The iteration at which an in-epoch view (the crash) takes over, or
+      // -1. A plan has one crash, so an epoch has at most one such view.
+      const size_t next = bound + 1;
+      const int64_t change_at = next < views.size() && views[next].in_epoch() &&
+                                        views[next].epoch_begin == epoch
+                                    ? views[next].iter_begin
+                                    : -1;
       int64_t iters_done = 0;
       for (int64_t it = 0; it < iters_per_epoch; ++it) {
-        if (plan != nullptr && plan->crash_at(epoch, it) && live_n == n) {
-          if (cfg.crash_policy == faults::CrashPolicy::Halt) {
-            halted = true;
-            break;
-          }
-          if (rank == plan->spec().crash_rank) {
-            // The casualty exits at the iteration boundary: it completed
+        if (it == change_at) {
+          enter_view(next, epoch, /*bootstrap=*/false);
+          if (!member) {
+            // This rank leaves at the iteration boundary: it completed
             // iteration it-1 including all of its sends (mailbox puts never
-            // block), so the survivors are owed nothing. Its undrained
-            // stall dies with it (nobody reads that slot until the threads
-            // have joined).
-            log.crashed = true;
-            crashed_out = true;
+            // block), so the others are owed nothing. Its undrained stall
+            // dies with it (nobody reads that slot until the threads have
+            // joined).
+            if (bound <= last_view) park(iters_per_epoch - it);
             break;
           }
-          // Survivor hand-off: rebind onto the pre-built (n-1)-rank world
-          // (with its own injector — see the setup note) under contiguous
-          // renumbering; compressor and error-feedback state carry over
-          // untouched.
-          live_n = n - 1;
-          live_rank = rank > plan->spec().crash_rank ? rank - 1 : rank;
-          live_global_batch =
-              static_cast<int64_t>(live_n) * cfg.batch_per_worker;
-          live_injector = shrunk_injector.get();
-          comm = shrunk->comm(live_rank);
-          comm::NetworkModel live_net = base_net;
-          live_net.n_workers = live_n;
-          grace.rebind(comm, live_net);
         }
         if (fidelity) {
           // Sample every K-th iteration: attach the probe to this worker's
@@ -644,7 +605,8 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
           slice = wrapped;
         }
         model->module().zero_grad();
-        const float loss = model->forward_backward(slice, batch_rng);
+        IterRow row{.active = true,
+                    .loss = model->forward_backward(slice, batch_rng)};
         if (trace) {
           record(epoch, it, Phase::Forward, -1, my_forward_s, 0);
           record(epoch, it, Phase::Backward, -1, my_backward_s, 0);
@@ -667,7 +629,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
           // remain identical because everyone skips the same rounds).
           sched.absorb_all(grace);
           // No exchange happened, so the pipeline ends with compute.
-          if (cfg.time.overlap) log.pipe_s.push_back(my_compute_s);
+          row.pipe_s = my_compute_s;
           if (cpath) cpath->record(rank, {});  // skipped round: no buckets
           if (rank == 0) ++log.rounds_skipped;
         } else {
@@ -725,12 +687,10 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
               }
             }
             if (cfg.time.overlap) {
-              const double pipe_end =
-                  std::max(my_compute_s, bs.exchange_end);
-              log.pipe_s.push_back(pipe_end);
+              row.pipe_s = std::max(my_compute_s, bs.exchange_end);
               if (metrics) {
                 metrics->observe(rank, "sched.overlap_saved_ns",
-                                 (bs.additive_end - pipe_end) * 1e9);
+                                 (bs.additive_end - row.pipe_s) * 1e9);
               }
             }
           }
@@ -768,21 +728,19 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
             if (trace) record(epoch, it, Phase::Fault, -1, stall, 0);
             if (metrics) metrics->observe(rank, "fault.stall_ns", stall * 1e9);
           }
-          if (rank == 0 && live_n < n) ++log.degraded_iters;
+          if (rank == 0 && views[bound].size() < n) ++log.degraded_iters;
         }
 
-        log.active.push_back(1);
-        log.losses.push_back(loss);
-        log.compress_s.push_back(
+        row.compress_s =
             (stats.compress_seconds * cfg.time.compression_time_scale +
              fixed_overhead) *
-            compute_scale);
-        log.decompress_s.push_back(stats.decompress_seconds *
-                                   cfg.time.compression_time_scale *
-                                   compute_scale);
-        log.comm_s.push_back(stats.comm_seconds);
-        log.stall_s.push_back(stall);
-        log.wire_bytes.push_back(stats.wire_bytes);
+            compute_scale;
+        row.decompress_s = stats.decompress_seconds *
+                           cfg.time.compression_time_scale * compute_scale;
+        row.comm_s = stats.comm_seconds;
+        row.stall_s = stall;
+        row.wire_bytes = stats.wire_bytes;
+        log.rows.push_back(row);
         // Intra-epoch decision boundary (never doubled with the epoch-end
         // one); the condition depends only on shared schedule state, so
         // every live rank takes it together.
@@ -794,7 +752,8 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
         ++iters_done;
       }
       if (rank == 0 && iters_done > 0) log.epoch_iters.push_back(iters_done);
-      if (crashed_out || halted) break;
+      // Left mid-epoch: no epoch-end work (the loop ends if for good).
+      if (!member) continue;
 
       // Epoch-end decision boundary — always, including the final epoch,
       // so a run handing its snapshot to a resumed run carries the
@@ -803,14 +762,15 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
 
       if (cfg.check_sync) {
         // All replicas must hold identical parameters: allreduce the sum of
-        // all parameter values and compare against live_n * local.
+        // all parameter values and compare against members * local.
         float checksum = 0.0f;
         for (auto& p : model->module().parameters()) {
           checksum += ops::sum(p.value->data.f32());
         }
         float global = checksum;
         comm::allreduce_sum(comm, std::span<float>(&global, 1), /*tag=*/-epoch - 1);
-        const float expect = checksum * static_cast<float>(live_n);
+        const float expect =
+            checksum * static_cast<float>(views[bound].size());
         const float tol = 1e-4f * (1.0f + std::fabs(expect));
         log.sync_ok.push_back(std::fabs(global - expect) <= tol);
       }
@@ -825,11 +785,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
     if (rank == 0) {
       // Snapshot the final weights: the cheap handle for bit-identical
       // replay checks and crash hand-off equivalence tests.
-      final_params.reserve(static_cast<size_t>(model->module().num_parameters()));
-      for (auto& p : model->module().parameters()) {
-        auto v = p.value->data.f32();
-        final_params.insert(final_params.end(), v.begin(), v.end());
-      }
+      final_params = flat_parameters(*model);
     }
   };
 
@@ -849,7 +805,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
   for (auto& t : threads) t.join();
 
   // --- Post-processing (single-threaded) ---
-  const auto total_iters = static_cast<int64_t>(logs[0].losses.size());
+  const auto total_iters = static_cast<int64_t>(logs[0].rows.size());
   // Rank 0 runs every iteration of the run (crash_rank 0 is rejected), so
   // its per-epoch counts are the run's ground-truth schedule; epochs can
   // have different lengths once a crash shrinks the world.
@@ -869,9 +825,14 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
   // step + the slowest worker's fault stall. Under TimeModel::overlap the
   // iteration instead ends when the slowest alive rank's exchange pipeline
   // drains (sim/scheduler.h) — the additive figure is still computed so
-  // the phase breakdown and the overlap saving stay reportable. A crashed
-  // rank's log just ends early; iterations after its death take the max
-  // over the survivors.
+  // the phase breakdown and the overlap saving stay reportable. Maxima run
+  // over the ranks that ran the iteration: the log of a rank that left ends
+  // early, and a parked rank's holds zero placeholder rows.
+  auto ran = [&](size_t r, int64_t it) {
+    const std::vector<IterRow>& rows = logs[r].rows;
+    return static_cast<size_t>(it) < rows.size() &&
+           rows[static_cast<size_t>(it)].active;
+  };
   std::vector<double> iter_seconds(static_cast<size_t>(total_iters));
   double compress_sum = 0.0, decompress_sum = 0.0, comm_sum = 0.0,
          stall_sum = 0.0, bytes_sum = 0.0;
@@ -894,38 +855,34 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
   for (int64_t it = 0; it < total_iters; ++it) {
     // The slowest worker this iteration sets the compression overhead; use
     // that worker's compress/decompress split so the phase columns sum to
-    // exactly the charged overhead. Parked ranks (membership churn) carry
-    // zero placeholder rows flagged inactive — they never bind anything.
+    // exactly the charged overhead.
     double max_overhead = 0.0, max_compress = 0.0, max_decompress = 0.0;
     double max_stall = 0.0, max_pipe = 0.0, max_compute = 0.0;
     int pipe_rank = -1;  // which rank's pipeline bound (overlap runs)
     for (size_t r = 0; r < logs.size(); ++r) {
-      const WorkerLog& log = logs[r];
-      if (static_cast<size_t>(it) >= log.losses.size()) continue;  // rank died
-      if (static_cast<size_t>(it) < log.active.size() &&
-          log.active[static_cast<size_t>(it)] == 0) {
-        continue;  // parked this epoch: zero placeholder row
-      }
+      if (!ran(r, it)) continue;
+      const IterRow& row = logs[r].rows[static_cast<size_t>(it)];
       max_compute = std::max(max_compute, rank_compute[r]);
-      const double c = log.compress_s[static_cast<size_t>(it)];
-      const double d = log.decompress_s[static_cast<size_t>(it)];
+      const double c = row.compress_s;
+      const double d = row.decompress_s;
       if (c + d >= max_overhead) {
         max_overhead = c + d;
         max_compress = c;
         max_decompress = d;
       }
-      max_stall = std::max(max_stall, log.stall_s[static_cast<size_t>(it)]);
+      max_stall = std::max(max_stall, row.stall_s);
       if (cfg.time.overlap) {
         // Strict > matches std::max's keep-the-first tie rule, so the
         // tracked rank is exactly the one whose pipe value max_pipe holds.
-        const double p = log.pipe_s[static_cast<size_t>(it)];
+        const double p = row.pipe_s;
         if (p > max_pipe || pipe_rank < 0) {
           max_pipe = std::max(max_pipe, p);
           pipe_rank = static_cast<int>(r);
         }
       }
     }
-    const double comm = logs[0].comm_s[static_cast<size_t>(it)];
+    const IterRow& row0 = logs[0].rows[static_cast<size_t>(it)];
+    const double comm = row0.comm_s;
     const double additive =
         max_compute + max_overhead + comm + optimizer_s + max_stall;
     double iter = additive;
@@ -939,7 +896,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
     decompress_sum += max_decompress;
     comm_sum += comm;
     stall_sum += max_stall;
-    bytes_sum += static_cast<double>(logs[0].wire_bytes[static_cast<size_t>(it)]);
+    bytes_sum += static_cast<double>(row0.wire_bytes);
     if (cpath != nullptr) {
       // Assemble the binding-rank view from the exact doubles above and
       // attribute the iteration; the re-derived iteration_s is bitwise
@@ -955,11 +912,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
       }
       rank_spans.clear();
       for (size_t r = 0; r < logs.size(); ++r) {
-        if (static_cast<size_t>(it) >= logs[r].losses.size()) continue;
-        if (static_cast<size_t>(it) < logs[r].active.size() &&
-            logs[r].active[static_cast<size_t>(it)] == 0) {
-          continue;
-        }
+        if (!ran(r, it)) continue;
         rank_spans.push_back(cpath->timings(static_cast<int>(r), it));
       }
       IterationAttribution a = attribute_iteration(costs, cfg.time.overlap);
@@ -1047,7 +1000,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
     const int64_t count = epoch_iters[e];
     double loss = 0.0, epoch_time = 0.0;
     for (int64_t it = at; it < at + count; ++it) {
-      loss += logs[0].losses[static_cast<size_t>(it)];
+      loss += logs[0].rows[static_cast<size_t>(it)].loss;
       epoch_time += iter_seconds[static_cast<size_t>(it)];
     }
     at += count;
@@ -1088,10 +1041,19 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
   // (before its snapshot below) so fault counters ride the same export
   // path as the exchange metrics.
   if (plan != nullptr) {
+    // Link-layer counters: the base injector serves every full-strength
+    // view, each shrunken view has its own, whose live ranks map back to
+    // physical ranks through view.ranks.
     result.faults = injector->totals();
-    if (shrunk_injector) result.faults += shrunk_injector->totals();
-    for (const auto& vi : view_injectors) {
-      if (vi) result.faults += vi->totals();
+    std::vector<faults::FaultCounters> link;
+    for (int r = 0; r < n; ++r) link.push_back(injector->rank_counters(r));
+    for (size_t v = 0; v < views.size(); ++v) {
+      if (!view_injectors[v]) continue;
+      result.faults += view_injectors[v]->totals();
+      for (int lr = 0; lr < views[v].size(); ++lr) {
+        link[static_cast<size_t>(views[v].ranks[static_cast<size_t>(lr)])] +=
+            view_injectors[v]->rank_counters(lr);
+      }
     }
     for (const auto& log : logs) {
       result.faults.straggler_events += log.straggler_events;
@@ -1099,31 +1061,34 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
       result.faults.sat_out_rounds += log.sat_out_rounds;
       result.faults.outages += log.outages;
       result.faults.outage_stall_s += log.outage_stall_s;
-      if (log.crashed) ++result.faults.crashed_ranks;
     }
     result.faults.rounds_skipped = logs[0].rounds_skipped;
     result.faults.degraded_iters = logs[0].degraded_iters;
-    // Membership churn: count the leave/join events that actually fired
-    // inside this run's absolute epoch window. Events at epoch E take
-    // effect at E's boundary, so E == start_epoch transitions happened
-    // before this run's first iteration only when resuming mid-schedule.
-    for (const faults::ChurnEvent& ev : plan->spec().churn) {
-      if (ev.epoch > cfg.start_epoch &&
-          ev.epoch < cfg.start_epoch + cfg.epochs) {
-        if (ev.join) {
-          ++result.faults.joins;
-        } else {
-          ++result.faults.leaves;
-        }
+    // Membership counters: every view change inside this run's window — after
+    // its first epoch boundary (a start_epoch resume begins on the view that
+    // boundary already produced) and before its end. Departures count as
+    // crashes at an in-epoch view and as leaves at a boundary one; the
+    // empty terminal view of a Halt crash counts nothing.
+    for (size_t v = 1; v < views.size(); ++v) {
+      const core::MembershipView& view = views[v];
+      const core::MembershipView& prev = views[v - 1];
+      const bool in_run =
+          std::pair(view.epoch_begin, view.iter_begin) >
+              std::pair(cfg.start_epoch, core::MembershipView::kBoundary) &&
+          view.epoch_begin < cfg.start_epoch + cfg.epochs;
+      if (!in_run || view.size() == 0) continue;
+      for (int r : view.ranks) {
+        if (!prev.contains(r)) ++result.faults.joins;
+      }
+      for (int r : prev.ranks) {
+        if (view.contains(r)) continue;
+        ++(view.in_epoch() ? result.faults.crashed_ranks
+                           : result.faults.leaves);
       }
     }
     if (metrics) {
       for (int r = 0; r < n; ++r) {
-        faults::FaultCounters c = injector->rank_counters(r);
-        if (shrunk_injector && r != plan->spec().crash_rank) {
-          c += shrunk_injector->rank_counters(
-              r > plan->spec().crash_rank ? r - 1 : r);
-        }
+        const faults::FaultCounters& c = link[static_cast<size_t>(r)];
         if (c.attempts_staged) {
           metrics->inc(r, "fault.attempts_staged", c.attempts_staged);
         }
@@ -1197,9 +1162,16 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
   // serialized controller states before reporting rank 0's (a mismatch is
   // a determinism bug, not a user error — fail loudly).
   if (ctl_on) {
+    // The members when the run ended: ranks that left stopped deciding
+    // then. A Halt crash's empty terminal view stands for the members it
+    // stopped.
+    int last = membership.segment_at(cfg.start_epoch + cfg.epochs - 1,
+                                     std::numeric_limits<int64_t>::max());
+    if (views[static_cast<size_t>(last)].size() == 0) --last;
+    const core::MembershipView& final_view = views[static_cast<size_t>(last)];
     const control::Controller* ref = nullptr;
     for (int r = 0; r < n; ++r) {
-      if (logs[static_cast<size_t>(r)].crashed) continue;
+      if (!final_view.contains(r)) continue;
       const control::Controller* c = controllers[static_cast<size_t>(r)].get();
       if (c == nullptr) continue;
       if (ref == nullptr) {

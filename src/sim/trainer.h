@@ -90,15 +90,16 @@ struct TrainConfig {
   // Optional deterministic fault plan (src/faults, docs/RESILIENCE.md; not
   // owned). When set, the trainer installs a FaultInjector on the World
   // (message drops / corruption with simulated retries), injects straggler
-  // stalls and skipped rounds, executes the planned crash, and reports
-  // FaultCounters in RunResult::faults. When null — the default — runs are
-  // bit-identical to a build without the subsystem; the fault path costs
-  // one branch per message.
+  // stalls and skipped rounds, runs the plan's membership timeline (churn
+  // and the crash, core/membership.h), and reports FaultCounters in
+  // RunResult::faults. When null — the default — runs are bit-identical to
+  // a build without the subsystem; the fault path costs one branch per
+  // message.
   const faults::FaultPlan* faults = nullptr;
-  // Degraded mode when the plan's crash fires: Continue shrinks the world
-  // to the n-1 survivors (compressor + error-feedback state carry over,
-  // the next epoch re-partitions data over the survivors); Halt ends the
-  // run at the crash boundary. Ignored without a crash in the plan.
+  // What the plan's crash is on the membership timeline: Continue makes it
+  // a leave inside its epoch (survivors finish that epoch on its start
+  // partition, the next re-partitions over them); Halt ends the timeline,
+  // and so the run, there. Ignored without a crash in the plan.
   faults::CrashPolicy crash_policy = faults::CrashPolicy::Continue;
   // Epoch numbering offset: epoch e of this run uses the shuffle order,
   // lr-decay boundaries, fault schedule and membership view of epoch
@@ -114,11 +115,12 @@ struct TrainConfig {
   // Structural validation, run by train() before any thread starts; throws
   // std::invalid_argument with a pointed message on: non-positive
   // n_workers / batch_per_worker / epochs, start_epoch < 0, a FleetProfile
-  // smaller than the world, invalid net/topology parameters, a churn plan
-  // combined with the adaptive controller (parked ranks would miss its
-  // signal allreduces), or a controller resume_state combined with churn.
-  // Churn plans themselves are checked by core::MembershipSchedule (leave
-  // of an absent rank, join of a present one, rank 0 churning).
+  // smaller than the world, invalid net/topology parameters, an
+  // inconsistent membership timeline (core::MembershipSchedule: a crash or
+  // churn rank outside the fleet, leave of an absent rank, join of a
+  // present one), a plan with joins combined with the adaptive controller
+  // (parked ranks would miss its signal allreduces), or a controller
+  // resume_state with start_epoch 0.
   void validate() const;
 };
 

@@ -370,6 +370,29 @@ TEST(CriticalPathIntegration, HonestAcrossACrash) {
   }
 }
 
+TEST(CriticalPathIntegration, HonestAcrossALeaveAndACrash) {
+  // A churn leave and a later crash on one membership timeline: both
+  // departed ranks exit, their series end early, and the survivors'
+  // iterations must still close the ledger.
+  Benchmark b = tiny_cnn();
+  faults::FaultSpec spec;
+  spec.churn = {{1, 3, false}};
+  spec.crash_rank = 2;
+  spec.crash_epoch = 1;
+  spec.crash_iter = 1;
+  const faults::FaultPlan plan(spec);
+  for (const bool overlap : {false, true}) {
+    TrainConfig cfg = tiny_config(b);
+    cfg.epochs = 2;
+    cfg.faults = &plan;
+    cfg.time.overlap = overlap;
+    const RunResult run = run_with_collector(b, cfg);
+    EXPECT_EQ(run.faults.leaves, 1u);
+    EXPECT_EQ(run.faults.crashed_ranks, 1u);
+    expect_honest(run, overlap ? "leave+crash/overlap" : "leave+crash/additive");
+  }
+}
+
 TEST(CriticalPathIntegration, StallBoundIterationsUnderPermanentStraggler) {
   // With a 50 ms straggler on every iteration of a sub-millisecond task,
   // the stall category must bind every iteration and the zero-stall

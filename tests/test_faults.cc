@@ -12,6 +12,7 @@
 
 #include "comm/world.h"
 #include "core/compressed.h"
+#include "core/membership.h"
 #include "core/registry.h"
 #include "faults/fault_plan.h"
 #include "faults/injector.h"
@@ -225,9 +226,9 @@ TEST(FaultPlan, ValidationRejectsBadSpecs) {
   s.churn.push_back({/*epoch=*/1, /*rank=*/0, /*join=*/false});
   EXPECT_THROW(faults::FaultPlan{s}, std::invalid_argument);
   s = {};
-  s.crash_rank = 2;  // crash and churn model the same thing: pick one
+  s.crash_rank = 2;  // the crash is one more leave on the churn timeline
   s.churn.push_back({/*epoch=*/1, /*rank=*/1, /*join=*/false});
-  EXPECT_THROW(faults::FaultPlan{s}, std::invalid_argument);
+  EXPECT_NO_THROW(faults::FaultPlan{s});
 }
 
 TEST(FaultPlan, ParticipationAndOutageDecisionsAreDeterministic) {
@@ -366,16 +367,20 @@ TEST(FaultPlan, StragglerRespectsRankPin) {
 }
 
 TEST(FaultPlan, CrashFiresAtExactCoordinates) {
+  // The crash is a view change on the membership timeline, exactly at
+  // (crash_epoch, crash_iter).
   faults::FaultSpec s;
   s.crash_rank = 2;
   s.crash_epoch = 1;
   s.crash_iter = 3;
   faults::FaultPlan plan(s);
-  EXPECT_TRUE(plan.has_crash());
-  EXPECT_TRUE(plan.crash_at(1, 3));
-  EXPECT_FALSE(plan.crash_at(1, 2));
-  EXPECT_FALSE(plan.crash_at(0, 3));
-  EXPECT_FALSE(faults::FaultPlan{}.has_crash());
+  EXPECT_TRUE(plan.spec().has_crash());
+  const core::MembershipSchedule timeline(4, plan.spec(),
+                                          faults::CrashPolicy::Continue);
+  EXPECT_EQ(timeline.view_at(1, 3).ranks, (std::vector<int>{0, 1, 3}));
+  EXPECT_EQ(timeline.view_at(1, 2).size(), 4);
+  EXPECT_EQ(timeline.view_at(0, 3).size(), 4);
+  EXPECT_FALSE(faults::FaultPlan{}.spec().has_crash());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,20 +1,25 @@
 // Elastic membership tests (core/membership.h, docs/RESILIENCE.md): the
-// MembershipSchedule view algebra, CRC-sealed join-bootstrap frames,
-// TrainConfig structural validation, and the trainer-level acceptance
-// contract — a 4-rank run that shrinks to 3 and grows back to 4 resumes
-// via start_epoch to the same parameters_crc32 as the uninterrupted
-// elastic run, heterogeneous fleets change seconds but never parameters
-// or wire counters, and partial participation keeps replicas bit-identical.
+// MembershipSchedule view algebra (churn and the crash on one timeline),
+// CRC-sealed join-bootstrap frames, TrainConfig structural validation, and
+// the trainer-level acceptance contract — a 4-rank run that shrinks to 3
+// and grows back to 4 resumes via start_epoch to the same parameters_crc32
+// as the uninterrupted elastic run, a leave hands off exactly to a fresh
+// smaller run, a crash and a leave combine, the controller runs under
+// leaves, the registry's fault counters add up to RunResult's,
+// heterogeneous fleets change seconds but never parameters or wire
+// counters, and partial participation keeps replicas bit-identical.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "comm/fleet.h"
 #include "core/membership.h"
+#include "sim/metric_registry.h"
 #include "sim/tasks.h"
 #include "tensor/tensor.h"
 
@@ -42,12 +47,28 @@ std::vector<faults::ChurnEvent> leave_then_rejoin(int rank, int leave_epoch,
   return {{leave_epoch, rank, false}, {join_epoch, rank, true}};
 }
 
+// A model whose replicas start from `saved` instead of the init seed's
+// weights: the fresh half of a staged-resume equivalence check.
+ReplicaFactory resume_from(const Benchmark& b, std::vector<float> saved) {
+  return [&b, saved = std::move(saved)](uint64_t seed) {
+    auto model = b.factory(seed);
+    size_t at = 0;
+    for (auto& p : model->module().parameters()) {
+      auto v = p.value->data.f32();
+      std::copy_n(saved.begin() + static_cast<int64_t>(at), v.size(),
+                  v.begin());
+      at += v.size();
+    }
+    return model;
+  };
+}
+
 // ---------------------------------------------------------------------------
 // MembershipSchedule: view algebra and validation
 
 TEST(Membership, ScheduleBuildsOrderedViews) {
-  const auto events = leave_then_rejoin(2, 1, 3);
-  core::MembershipSchedule ms(4, events);
+  const faults::FaultSpec spec{.churn = leave_then_rejoin(2, 1, 3)};
+  core::MembershipSchedule ms(4, spec);
   ASSERT_EQ(ms.views().size(), 3u);
   EXPECT_TRUE(ms.elastic());
 
@@ -77,28 +98,71 @@ TEST(Membership, ScheduleBuildsOrderedViews) {
 }
 
 TEST(Membership, ScheduleRejectsInconsistentPlans) {
-  using core::MembershipSchedule;
   using Events = std::vector<faults::ChurnEvent>;
+  auto schedule = [](int n, Events events) {
+    return core::MembershipSchedule(n, faults::FaultSpec{.churn = events});
+  };
   // Epoch 0 transitions are meaningless (the initial view governs epoch 0).
-  EXPECT_THROW(MembershipSchedule(4, Events{{0, 1, false}}),
+  EXPECT_THROW(schedule(4, Events{{0, 1, false}}),
                std::invalid_argument);
   // Rank 0 is pinned alive in every view.
-  EXPECT_THROW(MembershipSchedule(4, Events{{1, 0, false}}),
+  EXPECT_THROW(schedule(4, Events{{1, 0, false}}),
                std::invalid_argument);
   // Rank outside the fleet.
-  EXPECT_THROW(MembershipSchedule(4, Events{{1, 4, false}}),
+  EXPECT_THROW(schedule(4, Events{{1, 4, false}}),
                std::invalid_argument);
-  EXPECT_THROW(MembershipSchedule(4, Events{{1, -1, false}}),
+  EXPECT_THROW(schedule(4, Events{{1, -1, false}}),
                std::invalid_argument);
   // Leave of an absent rank / join of a present one.
   EXPECT_THROW(
-      MembershipSchedule(4, Events{{1, 2, false}, {2, 2, false}}),
+      schedule(4, Events{{1, 2, false}, {2, 2, false}}),
       std::invalid_argument);
-  EXPECT_THROW(MembershipSchedule(4, Events{{1, 2, true}}),
+  EXPECT_THROW(schedule(4, Events{{1, 2, true}}),
                std::invalid_argument);
   // A consistent plan passes.
   EXPECT_NO_THROW(
-      MembershipSchedule(4, Events{{1, 2, false}, {2, 2, true}}));
+      schedule(4, Events{{1, 2, false}, {2, 2, true}}));
+}
+
+TEST(Membership, CrashIsAnInEpochLeaveOnTheSameTimeline) {
+  faults::FaultSpec spec;
+  spec.churn = {{1, 2, false}};
+  spec.crash_rank = 3;
+  spec.crash_epoch = 1;
+  spec.crash_iter = 0;
+  core::MembershipSchedule ms(4, spec, faults::CrashPolicy::Continue);
+  ASSERT_EQ(ms.views().size(), 3u);
+  // The boundary leave comes first, the crash after it inside epoch 1.
+  EXPECT_EQ(ms.views()[1].ranks, (std::vector<int>{0, 1, 3}));
+  EXPECT_FALSE(ms.views()[1].in_epoch());
+  EXPECT_EQ(ms.views()[2].ranks, (std::vector<int>{0, 1}));
+  EXPECT_TRUE(ms.views()[2].in_epoch());
+  EXPECT_EQ(ms.views()[2].iter_begin, 0);
+  // Epoch 1 is partitioned over its boundary view; the crash view takes
+  // over from iteration 0 on and governs the next epoch's boundary.
+  EXPECT_EQ(ms.segment_at(1), 1);
+  EXPECT_EQ(ms.segment_at(1, 0), 2);
+  EXPECT_EQ(ms.segment_at(2), 2);
+
+  // Under Halt the crash ends the timeline: an empty terminal view, and
+  // events after it never apply.
+  spec.churn.push_back({2, 2, true});
+  core::MembershipSchedule halt(4, spec, faults::CrashPolicy::Halt);
+  ASSERT_EQ(halt.views().size(), 3u);
+  EXPECT_EQ(halt.views().back().size(), 0);
+  EXPECT_EQ(halt.view_at(5).size(), 0);
+
+  // The crash rank must be a member of the fleet at the crash position.
+  spec = {};
+  spec.crash_rank = 4;
+  EXPECT_THROW(core::MembershipSchedule(4, spec, faults::CrashPolicy::Halt),
+               std::invalid_argument);
+  spec.crash_rank = 2;
+  spec.churn = {{1, 2, false}};
+  spec.crash_epoch = 2;
+  EXPECT_THROW(
+      core::MembershipSchedule(4, spec, faults::CrashPolicy::Continue),
+      std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -153,8 +217,8 @@ TEST(Membership, TrainConfigValidateRejectsBadConfigs) {
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
   }
   {
-    // Churn + adaptive controller: parked ranks would miss the signal
-    // allreduces.
+    // Joins + adaptive controller: parked ranks would miss the signal
+    // allreduces. Leaves alone are fine — a departed rank exits.
     TrainConfig cfg = tiny_config(b, 4);
     faults::FaultSpec spec;
     spec.churn = leave_then_rejoin(2, 1, 3);
@@ -162,6 +226,21 @@ TEST(Membership, TrainConfigValidateRejectsBadConfigs) {
     cfg.faults = &plan;
     cfg.grace.control.policy = "hysteresis";
     cfg.grace.control.arms = {"none", "topk(0.01)"};
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    faults::FaultSpec leave_only;
+    leave_only.churn = {{1, 2, false}};
+    faults::FaultPlan leave_plan(leave_only);
+    cfg.faults = &leave_plan;
+    EXPECT_NO_THROW(cfg.validate());
+  }
+  {
+    // A crash rank outside the fleet fails in validate() itself.
+    TrainConfig cfg = tiny_config(b, 4);
+    faults::FaultSpec spec;
+    spec.crash_rank = 4;
+    spec.crash_epoch = 1;
+    faults::FaultPlan plan(spec);
+    cfg.faults = &plan;
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
   }
   {
@@ -175,9 +254,14 @@ TEST(Membership, TrainConfigValidateRejectsBadConfigs) {
   }
   {
     // Controller resume state without an epoch offset is a schedule
-    // mismatch.
+    // mismatch — with or without a churn plan.
     TrainConfig cfg = tiny_config(b, 4);
     cfg.grace.control.resume_state = "{\"boundary\":3}";
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    faults::FaultSpec spec;
+    spec.churn = {{1, 2, false}};
+    faults::FaultPlan plan(spec);
+    cfg.faults = &plan;
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
   }
   EXPECT_NO_THROW(tiny_config(b, 4).validate());
@@ -256,6 +340,155 @@ TEST(Membership, ElasticResumeReproducesTheUninterruptedRunExactly) {
   EXPECT_EQ(cont.epochs[1].train_loss, full.epochs[3].train_loss);
   EXPECT_EQ(cont.final_parameters, full.final_parameters);
   EXPECT_EQ(cont.parameters_crc32, full.parameters_crc32);
+}
+
+TEST(Membership, LeaveHandsOffToTheSurvivorsExactly) {
+  // Rank 2 of a 4-rank run leaves at epoch 1 and never comes back; it exits
+  // instead of parking. A fresh 3-rank run resumed at the leave epoch from
+  // the epoch-0 weights must reproduce the tail bit for bit — the same
+  // contract a crash hands off under.
+  Benchmark b = tiny_cnn();
+  faults::FaultSpec spec;
+  spec.churn = {{1, 2, false}};
+  faults::FaultPlan plan(spec);
+
+  TrainConfig cfg4 = tiny_config(b, 4);
+  cfg4.epochs = 3;
+  cfg4.faults = &plan;
+  RunResult full = train(b.factory, cfg4);
+  EXPECT_TRUE(full.replicas_in_sync);
+  EXPECT_EQ(full.faults.leaves, 1u);
+  EXPECT_EQ(full.faults.crashed_ranks, 0u);
+
+  TrainConfig stage_cfg = cfg4;
+  stage_cfg.epochs = 1;
+  RunResult stage = train(b.factory, stage_cfg);
+
+  TrainConfig cfg3 = tiny_config(b, 3);
+  cfg3.epochs = 2;
+  cfg3.start_epoch = 1;
+  RunResult cont = train(resume_from(b, stage.final_parameters), cfg3);
+
+  ASSERT_EQ(full.epochs.size(), 3u);
+  ASSERT_EQ(cont.epochs.size(), 2u);
+  EXPECT_EQ(cont.epochs[0].train_loss, full.epochs[1].train_loss);
+  EXPECT_EQ(cont.epochs[1].train_loss, full.epochs[2].train_loss);
+  EXPECT_EQ(cont.final_parameters, full.final_parameters);
+  EXPECT_EQ(cont.parameters_crc32, full.parameters_crc32);
+}
+
+TEST(Membership, CrashAndLeaveShareOneTimeline) {
+  // A churn leave at epoch 1 and a mid-epoch crash in epoch 2: 4 -> 3 -> 2
+  // ranks, each change counted under its own kind.
+  Benchmark b = tiny_cnn();
+  TrainConfig cfg = tiny_config(b, 4);
+  cfg.epochs = 3;
+  cfg.grace.compressor_spec = "topk(0.1)";  // EF state carries over
+
+  faults::FaultSpec spec;
+  spec.seed = 43;
+  spec.churn = {{1, 2, false}};
+  spec.crash_rank = 3;
+  spec.crash_epoch = 2;
+  spec.crash_iter = 1;
+  faults::FaultPlan plan(spec);
+  cfg.faults = &plan;
+
+  RunResult a = train(b.factory, cfg);
+  EXPECT_TRUE(a.replicas_in_sync);
+  EXPECT_EQ(a.faults.crashed_ranks, 1u);
+  EXPECT_EQ(a.faults.leaves, 1u);
+  EXPECT_EQ(a.faults.joins, 0u);
+  ASSERT_EQ(a.epochs.size(), 3u);
+
+  RunResult c = train(b.factory, cfg);
+  EXPECT_EQ(a.final_parameters, c.final_parameters);
+  EXPECT_EQ(a.parameters_crc32, c.parameters_crc32);
+}
+
+TEST(Membership, ControllerRunsUnderLeaves) {
+  // The controller's signal allreduce runs on the live view, and a rank
+  // that leaves exits, so a leave-only plan is allowed. train() compares
+  // every final member's controller snapshot and throws on divergence.
+  Benchmark b = tiny_cnn();
+  TrainConfig cfg = tiny_config(b, 4);
+  cfg.epochs = 3;
+  cfg.grace.compressor_spec = "topk(0.05)";
+  cfg.grace.control.policy = "hysteresis";
+  cfg.grace.control.arms = {"none", "topk(0.05)"};
+  cfg.grace.control.start_arm = 1;
+  cfg.grace.control.decide_every_iters = 2;
+  cfg.grace.control.cosine_floor = 0.4;
+
+  faults::FaultSpec spec;
+  spec.churn = {{1, 3, false}};
+  faults::FaultPlan plan(spec);
+  cfg.faults = &plan;
+
+  RunResult a, c;
+  ASSERT_NO_THROW(a = train(b.factory, cfg));
+  ASSERT_NO_THROW(c = train(b.factory, cfg));
+  EXPECT_TRUE(a.replicas_in_sync);
+  EXPECT_EQ(a.faults.leaves, 1u);
+  EXPECT_TRUE(a.control.enabled);
+  EXPECT_GT(a.control.boundaries, 0);
+  EXPECT_EQ(a.control.state, c.control.state);
+  EXPECT_EQ(a.parameters_crc32, c.parameters_crc32);
+
+  // With a join the controller is still rejected.
+  faults::FaultSpec rejoin;
+  rejoin.churn = leave_then_rejoin(3, 1, 2);
+  faults::FaultPlan rejoin_plan(rejoin);
+  cfg.faults = &rejoin_plan;
+  EXPECT_THROW(train(b.factory, cfg), std::invalid_argument);
+}
+
+TEST(Membership, RegistryFaultCountersAddUpAcrossViews) {
+  // Every view's injector feeds the per-rank fault.* registry counters
+  // (live ranks mapped back to physical ones), so their sum over ranks is
+  // RunResult's total — under churn and under a crash.
+  Benchmark b = tiny_cnn();
+  faults::FaultSpec churn;
+  churn.seed = 47;
+  churn.drop_prob = 0.1;
+  churn.churn = {{1, 2, false}};
+  faults::FaultSpec crash;
+  crash.seed = 53;
+  crash.drop_prob = 0.1;
+  crash.crash_rank = 1;
+  crash.crash_epoch = 0;
+  crash.crash_iter = 2;
+  for (const faults::FaultSpec& spec : {churn, crash}) {
+    faults::FaultPlan plan(spec);
+    TrainConfig cfg = tiny_config(b, 4);
+    cfg.epochs = 3;
+    cfg.grace.compressor_spec = "topk(0.1)";
+    cfg.faults = &plan;
+    MetricRegistry registry(cfg.n_workers);
+    cfg.metrics = &registry;
+    RunResult run = train(b.factory, cfg);
+    EXPECT_GT(run.faults.retries, 0u);
+
+    auto sum = [&](const std::string& name) {
+      uint64_t total = 0;
+      for (int r = 0; r < registry.n_ranks(); ++r) {
+        for (const CounterSnapshot& c : registry.counters(r)) {
+          if (c.name == name) total += c.value;
+        }
+      }
+      return total;
+    };
+    const std::string kind = spec.has_crash() ? "crash" : "churn";
+    EXPECT_EQ(sum("fault.attempts_staged"), run.faults.attempts_staged) << kind;
+    EXPECT_EQ(sum("fault.drops_detected"), run.faults.drops_detected) << kind;
+    EXPECT_EQ(sum("fault.corruptions_detected"),
+              run.faults.corruptions_detected) << kind;
+    EXPECT_EQ(sum("fault.retries"), run.faults.retries) << kind;
+    EXPECT_EQ(sum("fault.straggler_events"), run.faults.straggler_events)
+        << kind;
+    EXPECT_EQ(sum("fault.crashed_ranks"), run.faults.crashed_ranks) << kind;
+    EXPECT_EQ(sum("fault.leaves"), run.faults.leaves) << kind;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 // delay, drops and corruption never change what gets aggregated, skipped
 // rounds ride the error-feedback residual, and a mid-epoch crash hands off
 // to the survivors so exactly that a fresh (n-1)-rank run resumed from the
-// survivors' weights reproduces the tail of the crashed run bit-for-bit.
+// survivors' weights reproduces the tail of the crashed run bit-for-bit —
+// as does a resume under the same plan started after the crash epoch.
 #include <gtest/gtest.h>
 #include <cstdint>
 
@@ -282,6 +283,54 @@ TEST(Resilience, CrashContinueHandsOffToSurvivorsExactly) {
   EXPECT_EQ(cont.epochs[0].quality, full.epochs[2].quality);
   EXPECT_EQ(cont.final_parameters, full.final_parameters);
   EXPECT_EQ(cont.parameters_crc32, full.parameters_crc32);
+}
+
+TEST(Resilience, ResumeAfterTheCrashEpochStartsFromTheSurvivors) {
+  // The crash sits on the membership timeline at an absolute position, so
+  // a staged resume under the same plan started after the crash epoch
+  // begins from the survivors' view — the dead rank stays dead — and
+  // reproduces the uninterrupted crashed run.
+  Benchmark b = tiny_cnn();
+
+  faults::FaultSpec spec;
+  spec.crash_rank = 2;
+  spec.crash_epoch = 1;
+  spec.crash_iter = 2;
+  faults::FaultPlan plan(spec);
+
+  TrainConfig cfg = tiny_config(b, 4);
+  cfg.epochs = 3;
+  cfg.faults = &plan;
+  RunResult full = train(b.factory, cfg);
+
+  TrainConfig stage_cfg = cfg;
+  stage_cfg.epochs = 2;
+  RunResult stage = train(b.factory, stage_cfg);
+
+  std::vector<float> saved = stage.final_parameters;
+  ReplicaFactory resumed = [&b, saved](uint64_t seed) {
+    auto model = b.factory(seed);
+    size_t at = 0;
+    for (auto& p : model->module().parameters()) {
+      auto v = p.value->data.f32();
+      std::copy_n(saved.begin() + static_cast<int64_t>(at), v.size(), v.begin());
+      at += v.size();
+    }
+    return model;
+  };
+  TrainConfig cont_cfg = cfg;
+  cont_cfg.epochs = 1;
+  cont_cfg.start_epoch = 2;
+  RunResult cont = train(resumed, cont_cfg);
+
+  ASSERT_EQ(full.epochs.size(), 3u);
+  ASSERT_EQ(cont.epochs.size(), 1u);
+  EXPECT_EQ(cont.epochs[0].train_loss, full.epochs[2].train_loss);
+  EXPECT_EQ(cont.final_parameters, full.final_parameters);
+  EXPECT_EQ(cont.parameters_crc32, full.parameters_crc32);
+  // The crash fired before this run's window; the run still ran degraded.
+  EXPECT_EQ(cont.faults.crashed_ranks, 0u);
+  EXPECT_GT(cont.faults.degraded_iters, 0u);
 }
 
 TEST(Resilience, CrashedRunsReplayBitForBit) {
