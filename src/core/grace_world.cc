@@ -8,18 +8,15 @@
 #include "tensor/ops.h"
 
 namespace grace::core {
-namespace {
 
 // Per-thread CPU time: worker threads time-share cores, so wall clock would
 // attribute scheduler gaps to compression. CPU time measures the kernels'
 // real cost regardless of contention.
-double now_seconds() {
+double thread_cpu_seconds() {
   timespec ts{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
   return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
-
-}  // namespace
 
 ExchangeStats& ExchangeStats::operator+=(const ExchangeStats& o) {
   wire_bytes += o.wire_bytes;
@@ -141,7 +138,7 @@ ExchangeHandle GraceWorker::submit_impl(const Tensor& grad,
 
   // Lines 5-6: g~ = Q(phi(m, g)); m = psi(...). submit_raw skips both
   // memory touches: the payload is Q(g) and the residual stays untouched.
-  const double t0 = sp ? now_seconds() : 0.0;
+  const double t0 = sp ? thread_cpu_seconds() : 0.0;
   Tensor compensated = use_memory ? memory_->compensate(grad, name) : grad;
   h.payload = q.compress(compensated, name, rng_);
   // Lossless wire stage, inside the timed region: the coding cost lands in
@@ -156,7 +153,7 @@ ExchangeHandle GraceWorker::submit_impl(const Tensor& grad,
     memory_->update(name, compensated, reconstruction);
   }
   if (sp) {
-    sp->compress_seconds = now_seconds() - t0;
+    sp->compress_seconds = thread_cpu_seconds() - t0;
     sp->wire_bytes = h.payload.wire_bytes();
   }
   if (probe_) {
@@ -253,15 +250,15 @@ Tensor GraceWorker::exchange_collective(Compressor& q,
       comm::allreduce_sum(comm_, part.f32(), tag);
     }
     if (stats) stats->comm_seconds += topo_->allreduce_seconds(stats->wire_bytes);
-    const double t0 = stats ? now_seconds() : 0.0;
+    const double t0 = stats ? thread_cpu_seconds() : 0.0;
     aggregated = q.decompress(summed);
     ops::scale(aggregated.f32(), 1.0f / static_cast<float>(comm_.size()));
-    if (stats) stats->decompress_seconds += now_seconds() - t0;
+    if (stats) stats->decompress_seconds += thread_cpu_seconds() - t0;
   } else {
     // Lines 11-13: gather every worker's payload, decompress all, Agg.
     Tensor blob = serialize(compressed);
     std::vector<Tensor> blobs = comm::allgather(comm_, blob, tag);
-    const double t0 = stats ? now_seconds() : 0.0;
+    const double t0 = stats ? thread_cpu_seconds() : 0.0;
     std::vector<Tensor> decompressed;
     decompressed.reserve(blobs.size());
     uint64_t others_bytes = 0;
@@ -276,7 +273,7 @@ Tensor GraceWorker::exchange_collective(Compressor& q,
     }
     aggregated = q.aggregate(decompressed);
     if (stats) {
-      stats->decompress_seconds += now_seconds() - t0;
+      stats->decompress_seconds += thread_cpu_seconds() - t0;
       stats->comm_seconds +=
           topo_->allgather_seconds(stats->wire_bytes, others_bytes);
     }
@@ -300,15 +297,15 @@ Tensor GraceWorker::exchange_hierarchical(Compressor& q,
       comm::hierarchical_allreduce_sum(comm_, part.f32(), rack, tag);
     }
     if (stats) stats->comm_seconds += topo_->allreduce_seconds(stats->wire_bytes);
-    const double t0 = stats ? now_seconds() : 0.0;
+    const double t0 = stats ? thread_cpu_seconds() : 0.0;
     aggregated = q.decompress(summed);
     ops::scale(aggregated.f32(), 1.0f / static_cast<float>(comm_.size()));
-    if (stats) stats->decompress_seconds += now_seconds() - t0;
+    if (stats) stats->decompress_seconds += thread_cpu_seconds() - t0;
   } else {
     Tensor blob = serialize(compressed);
     std::vector<Tensor> blobs =
         comm::hierarchical_allgather(comm_, blob, rack, tag);
-    const double t0 = stats ? now_seconds() : 0.0;
+    const double t0 = stats ? thread_cpu_seconds() : 0.0;
     std::vector<Tensor> decompressed;
     decompressed.reserve(blobs.size());
     uint64_t others_bytes = 0;
@@ -323,7 +320,7 @@ Tensor GraceWorker::exchange_hierarchical(Compressor& q,
     }
     aggregated = q.aggregate(decompressed);
     if (stats) {
-      stats->decompress_seconds += now_seconds() - t0;
+      stats->decompress_seconds += thread_cpu_seconds() - t0;
       stats->comm_seconds +=
           topo_->allgather_seconds(stats->wire_bytes, others_bytes);
     }
@@ -354,16 +351,16 @@ Tensor GraceWorker::exchange_parameter_server(
     // is slotted at its rank position.
     for (int peer = 0; peer < n; ++peer) {
       if (peer == server) {
-        const double t0 = stats ? now_seconds() : 0.0;
+        const double t0 = stats ? thread_cpu_seconds() : 0.0;
         decompressed.push_back(q.decompress(compressed));
-        if (stats) stats->decompress_seconds += now_seconds() - t0;
+        if (stats) stats->decompress_seconds += thread_cpu_seconds() - t0;
         continue;
       }
       CompressedTensor ct = deserialize(comm_.recv(peer, tag));
       total_upload += ct.wire_bytes();
-      const double t1 = stats ? now_seconds() : 0.0;
+      const double t1 = stats ? thread_cpu_seconds() : 0.0;
       decompressed.push_back(q.decompress(ct));
-      if (stats) stats->decompress_seconds += now_seconds() - t1;
+      if (stats) stats->decompress_seconds += thread_cpu_seconds() - t1;
     }
     aggregated = q.aggregate(decompressed);
     for (int peer = 0; peer < n; ++peer) {

@@ -23,6 +23,9 @@
 
 namespace grace::core {
 
+// The clock measured codec seconds are read from: this thread's CPU time.
+double thread_cpu_seconds();
+
 struct ExchangeStats {
   uint64_t wire_bytes = 0;        // logical bytes this worker transmitted
   double compress_seconds = 0.0;  // measured: Q + memory update

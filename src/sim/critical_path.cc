@@ -119,43 +119,6 @@ Resource largest_category(const IterationAttribution& a) {
   return r;
 }
 
-}  // namespace
-
-IterationAttribution attribute_iteration(const IterationCosts& costs,
-                                         bool overlap) {
-  IterationAttribution a;
-  a.optimizer_s = costs.optimizer_s;
-  a.stall_s = costs.stall_s;
-  if (!overlap) {
-    // Additive accounting: the categories are the phase sums, in the exact
-    // association order the trainer priced the iteration with.
-    a.compute_s = costs.compute_s;
-    a.codec_s = costs.codec_s;
-    a.link_s = costs.comm_s;
-    a.iteration_s = ((((costs.compute_s + costs.codec_s) + costs.comm_s) +
-                      costs.optimizer_s) +
-                     costs.stall_s);
-  } else {
-    const BucketSchedule bs =
-        schedule_buckets(costs.timings, costs.compute_s, /*overlap=*/true);
-    const double pipe = std::max(costs.compute_s, bs.exchange_end);
-    a.iteration_s = ((pipe + costs.optimizer_s) + costs.stall_s);
-    if (bs.exchange_end <= costs.compute_s || costs.timings.empty()) {
-      // Device compute outlasted the exchange pipeline (or the round was
-      // skipped): compute owns the whole span.
-      a.compute_s = pipe;
-    } else {
-      walk_chain(costs.timings, bs, a);
-    }
-  }
-  // Regrouping the chain's interleaved segments into category sums can
-  // reassociate floating-point additions; fold the ulp-scale residue back
-  // in so the ledger closes bitwise.
-  close_ledger(a);
-  a.binding = largest_category(a);
-  return a;
-}
-
 void close_ledger(IterationAttribution& a) {
   // Quick path: fold the residue into the largest chain category (the
   // binding resource absorbs the rounding). One step usually closes it.
@@ -226,28 +189,47 @@ void close_ledger(IterationAttribution& a) {
   // best-effort within one ulp.
 }
 
-double reprice_iteration(
-    const IterationCosts& costs,
-    const std::vector<std::span<const BucketTiming>>& rank_timings,
-    bool overlap, Scenario scenario) {
-  const double stall = scenario == Scenario::ZeroStall ? 0.0 : costs.stall_s;
-  const bool pipeline = overlap || scenario == Scenario::PerfectOverlap;
-  if (!pipeline) {
-    // Additive run, scalar scenario: re-price the additive sum.
-    const double codec =
-        scenario == Scenario::FreeCodec ? 0.0 : costs.codec_s;
-    const double comm =
-        scenario == Scenario::InfiniteBandwidth ? 0.0 : costs.comm_s;
-    return ((((costs.compute_s + codec) + comm) + costs.optimizer_s) + stall);
+}  // namespace
+
+IterationAttribution attribute_iteration(
+    const IterationPrice& p, std::span<const BucketTiming> binding) {
+  IterationAttribution a;
+  a.optimizer_s = p.optimizer_s;
+  a.stall_s = p.stall_s;
+  a.iteration_s = p.iteration_s;
+  if (!p.overlap) {
+    // Additive accounting: the categories are the priced phase sums.
+    a.compute_s = p.device.compute_s;
+    a.codec_s = p.compress_s + p.decompress_s;
+    a.link_s = p.comm_s;
+  } else {
+    const BucketSchedule bs =
+        schedule_buckets(binding, p.device.compute_s, /*overlap=*/true);
+    if (bs.exchange_end <= p.device.compute_s) {
+      // Device compute outlasted the exchange pipeline (or the round was
+      // skipped): compute owns the whole span.
+      a.compute_s = p.pipe_s;
+    } else {
+      walk_chain(binding, bs, a);
+    }
   }
-  // Pipeline pricing: transform every rank's stage durations and let the
-  // slowest re-priced rank bind, exactly as the trainer's overlap
-  // accounting does. Ranks with no recorded buckets (skipped rounds)
-  // contribute the compute floor.
-  double max_pipe = costs.compute_s;
+  // Regrouping the chain's interleaved segments into category sums can
+  // reassociate floating-point additions; fold the ulp-scale residue back
+  // in so the ledger closes bitwise.
+  close_ledger(a);
+  a.binding = largest_category(a);
+  return a;
+}
+
+double reprice_iteration(
+    const IterationPrice& p, std::span<const RankPrice> ranks,
+    std::span<const std::span<const BucketTiming>> rank_timings,
+    Scenario scenario) {
+  const bool pipeline = p.overlap || scenario == Scenario::PerfectOverlap;
+  std::vector<RankPrice> repriced;
   std::vector<BucketTiming> tmp;
-  for (const auto& timings : rank_timings) {
-    tmp.assign(timings.begin(), timings.end());
+  for (size_t r = 0; r < ranks.size(); ++r) {
+    tmp.assign(rank_timings[r].begin(), rank_timings[r].end());
     for (BucketTiming& t : tmp) {
       switch (scenario) {
         case Scenario::InfiniteBandwidth: t.comm_s = 0.0; break;
@@ -259,11 +241,55 @@ double reprice_iteration(
         case Scenario::ZeroStall: break;
       }
     }
-    const BucketSchedule bs =
-        schedule_buckets(tmp, costs.compute_s, /*overlap=*/true);
-    max_pipe = std::max(max_pipe, std::max(costs.compute_s, bs.exchange_end));
+    RankPrice q = price_rank(tmp, ranks[r].device, pipeline);
+    q.stall_s = scenario == Scenario::ZeroStall ? 0.0 : ranks[r].stall_s;
+    repriced.push_back(q);
   }
-  return ((max_pipe + costs.optimizer_s) + stall);
+  return price_iteration(repriced, p.optimizer_s, pipeline).iteration_s;
+}
+
+void CriticalPathSummary::add(
+    const IterationPrice& p, std::span<const RankPrice> ranks,
+    std::span<const std::span<const BucketTiming>> rank_timings) {
+  const IterationAttribution a =
+      attribute_iteration(p, rank_timings[p.binding]);
+  mean.compute_s += a.compute_s;
+  mean.codec_s += a.codec_s;
+  mean.link_s += a.link_s;
+  mean.optimizer_s += a.optimizer_s;
+  mean.stall_s += a.stall_s;
+  mean.iteration_s += a.iteration_s;
+  ++bound_iters[static_cast<size_t>(a.binding)];
+  per_iteration.push_back(a);
+  what_ifs.resize(kScenarios.size());
+  for (size_t s = 0; s < kScenarios.size(); ++s) {
+    what_ifs[s].iteration_s +=
+        reprice_iteration(p, ranks, rank_timings, kScenarios[s]);
+  }
+  ++iterations;
+}
+
+void CriticalPathSummary::finish(double iteration_s) {
+  collected = true;
+  // The iteration sum accumulated the same values as the run's mean in the
+  // same order, so mean.iteration_s matches RunResult::iteration_s exactly;
+  // fold the category-rounding residue so the mean ledger closes too.
+  for (double* x : {&mean.compute_s, &mean.codec_s, &mean.link_s,
+                    &mean.optimizer_s, &mean.stall_s, &mean.iteration_s}) {
+    *x /= static_cast<double>(iterations);
+  }
+  close_ledger(mean);
+  size_t top = 0;
+  for (size_t r = 1; r < kNumResources; ++r) {
+    if (bound_iters[r] > bound_iters[top]) top = r;
+  }
+  mean.binding = static_cast<Resource>(top);
+  for (size_t s = 0; s < kScenarios.size(); ++s) {
+    WhatIfResult& w = what_ifs[s];
+    w.name = scenario_name(kScenarios[s]);
+    w.iteration_s /= static_cast<double>(iterations);
+    w.speedup = w.iteration_s > 0.0 ? iteration_s / w.iteration_s : 1.0;
+  }
 }
 
 CriticalPathCollector::CriticalPathCollector(int n_ranks)

@@ -8,7 +8,7 @@
 //      compute / backward readiness ramp, codec (compress + decompress),
 //      link occupancy, optimizer step, and fault stall. The honesty
 //      contract is that the attributed seconds of an iteration sum
-//      *bitwise-exactly* to what the trainer charged for it
+//      *bitwise-exactly* to what the pricing core charged for it
 //      (IterationAttribution::attributed_total() == iteration_s), so the
 //      ledger can never quietly over- or under-explain a run.
 //
@@ -17,9 +17,9 @@
 //      zero), free codec (compress/decompress cost zero), zero fault
 //      stalls, and perfect overlap (no backward readiness ramp; every
 //      bucket's gradients ready at iteration start). A what-if never
-//      re-measures anything: it re-runs schedule_buckets on transformed
-//      stage durations, so predictions are pure functions of the recorded
-//      run and never fall below the max(compute, link-occupancy) bound.
+//      re-measures anything: it re-prices transformed stage durations
+//      through sim/pricing.h, so predictions are pure functions of the
+//      recorded run and never fall below the max(compute, link) bound.
 //
 // Collection is opt-in via TrainConfig::critical_path, following the same
 // contract as the trace / fidelity / metrics layers: per-rank slots
@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/pricing.h"
 #include "sim/scheduler.h"
 
 namespace grace::sim {
@@ -65,8 +66,7 @@ struct IterationAttribution {
   double link_s = 0.0;
   double optimizer_s = 0.0;
   double stall_s = 0.0;
-  // What the trainer charged this iteration (reconstructed bitwise from
-  // the same inputs the trainer priced).
+  // What the iteration was charged (IterationPrice::iteration_s).
   double iteration_s = 0.0;
   // The largest category — "what bounded this iteration".
   Resource binding = Resource::Compute;
@@ -79,32 +79,12 @@ struct IterationAttribution {
   }
 };
 
-// The binding-rank view of one iteration, assembled by the trainer from
-// the same doubles it priced the iteration with.
-struct IterationCosts {
-  // The binding rank's per-bucket stage durations (empty on skipped
-  // rounds). Only consulted under overlap accounting and by the pipeline
-  // what-ifs.
-  std::span<const BucketTiming> timings;
-  double compute_s = 0.0;    // simulated forward + backward
-  double codec_s = 0.0;      // additive: the slowest rank's compress +
-                             // decompress overhead (trainer's max_overhead)
-  double comm_s = 0.0;       // additive: simulated collective time
-  double optimizer_s = 0.0;
-  double stall_s = 0.0;      // slowest rank's simulated fault stall
-};
-
-// Attributes one iteration. `overlap` selects the accounting the trainer
-// used (TimeModel::overlap): additive phase sums, or the critical chain
-// through schedule_buckets(timings, compute_s, true).
-IterationAttribution attribute_iteration(const IterationCosts& costs,
-                                         bool overlap);
-
-// Folds the floating-point reassociation residue between iteration_s and
-// the category sums back into the categories until attributed_total()
-// equals iteration_s bitwise (the honesty contract). Used internally by
-// attribute_iteration and by the trainer when it averages the ledger.
-void close_ledger(IterationAttribution& a);
+// Attributes one iteration the pricing core closed (sim/pricing.h).
+// `binding` holds the bucket timings of the rank whose pipeline bound it
+// (the p.binding-th priced rank); only overlap accounting reads them, as
+// the critical chain through schedule_buckets(binding, compute, true).
+IterationAttribution attribute_iteration(
+    const IterationPrice& p, std::span<const BucketTiming> binding);
 
 // Deterministic what-if scenarios: re-price the closed-form timeline with
 // one resource idealized.
@@ -120,18 +100,17 @@ inline constexpr std::array<Scenario, 4> kScenarios = {
 
 const char* scenario_name(Scenario s);
 
-// Re-prices one iteration under `scenario`. `rank_timings` holds every
-// alive rank's bucket timings for the iteration (the scenario pipeline is
-// priced per rank and the slowest rank binds, mirroring the trainer);
-// `overlap` is the run's accounting mode. Scalar scenarios on additive
-// runs re-price the additive sum; pipeline scenarios (and every scenario
-// on an overlap run) re-run schedule_buckets on transformed durations.
-// The result never falls below max(compute_s, scenario link occupancy) +
-// optimizer_s.
+// Re-prices iteration `p` under `scenario` through the pricing core:
+// every rank that ran it (`ranks`, with its bucket timings in
+// `rank_timings`) is re-priced on transformed stage durations and the
+// iteration is closed again. Scalar scenarios on additive runs keep the
+// additive accounting; the pipeline scenario (and every scenario on an
+// overlap run) prices the exchange pipeline. The result never falls below
+// max(compute, scenario link occupancy) + optimizer.
 double reprice_iteration(
-    const IterationCosts& costs,
-    const std::vector<std::span<const BucketTiming>>& rank_timings,
-    bool overlap, Scenario scenario);
+    const IterationPrice& p, std::span<const RankPrice> ranks,
+    std::span<const std::span<const BucketTiming>> rank_timings,
+    Scenario scenario);
 
 struct WhatIfResult {
   std::string name;          // scenario_name()
@@ -153,6 +132,15 @@ struct CriticalPathSummary {
   std::vector<IterationAttribution> per_iteration;
   // One entry per kScenarios member, in that order.
   std::vector<WhatIfResult> what_ifs;
+
+  // Adds one priced iteration: its ledger, binding tally and what-ifs
+  // (arguments as for reprice_iteration). Until finish(), `mean` and the
+  // what-ifs hold sums.
+  void add(const IterationPrice& p, std::span<const RankPrice> ranks,
+           std::span<const std::span<const BucketTiming>> rank_timings);
+  // Turns the sums into means; `iteration_s` is RunResult::iteration_s,
+  // the what-ifs' speedup baseline.
+  void finish(double iteration_s);
 };
 
 // Per-rank, per-iteration storage for the bucket timings, written

@@ -22,13 +22,13 @@ struct EpochRecord {
   double cum_sim_seconds = 0.0;   // simulated time since training start
 };
 
-// Mean per-iteration seconds by phase (the trace taxonomy of sim/trace.h).
-// By construction forward + backward == compute, compress + decompress ==
-// the slowest worker's compression overhead, so total_s() equals the
-// simulated iteration time exactly under the additive accounting
-// (TimeModel::overlap == false, the default). With overlap enabled the
-// iteration time comes from the exchange-pipeline critical path instead,
-// so total_s() exceeds RunResult::iteration_s by the overlapped portion.
+// Mean per-iteration seconds by phase (the trace taxonomy of sim/trace.h),
+// priced by sim/pricing.h: forward + backward == the compute each iteration
+// was charged (the slowest rank's, at its compute_scale), compress +
+// decompress == the slowest worker's compression overhead, so on every
+// fleet total_s() equals the simulated iteration time under the additive
+// accounting (TimeModel::overlap == false, the default). With overlap the
+// iteration ends on the pipeline critical path, below total_s().
 struct PhaseBreakdown {
   double forward_s = 0.0;     // simulated device compute, forward pass
   double backward_s = 0.0;    // simulated device compute, backward pass
@@ -77,9 +77,11 @@ struct RunResult {
   // Mean logical bytes transmitted per iteration by one worker.
   double wire_bytes_per_iter = 0.0;
 
-  // Mean per-iteration breakdown (seconds). compress_s is the full
-  // compression overhead (compress + local/peer decompress + fixed
-  // per-tensor cost), taken as the slowest worker per iteration.
+  // Mean per-iteration breakdown (seconds). compute_s is the uniform
+  // device's compute (compute_scale 1; phases carry what a heterogeneous
+  // fleet was charged). compress_s is the full compression overhead
+  // (compress + local/peer decompress + fixed per-tensor cost), taken as
+  // the slowest worker per iteration.
   double compute_s = 0.0;
   double compress_s = 0.0;
   double comm_s = 0.0;

@@ -79,7 +79,6 @@ struct BucketSpan {
 struct BucketSchedule {
   std::vector<BucketSpan> spans;
   double exchange_end = 0.0;  // last bucket's decompress completion
-  double link_busy_s = 0.0;   // total link occupancy (sum of comm stages)
   // What the legacy additive model charges for the same inputs:
   // compute_end + sum(compress + comm + decompress). exchange_end never
   // exceeds this under overlap, and equals it with overlap off.
@@ -105,7 +104,6 @@ class ExchangeScheduler {
 
   const std::vector<BucketSpec>& buckets() const { return plan_; }
   size_t n_buckets() const { return plan_.size(); }
-  int64_t total_numel() const { return total_numel_; }
 
   // Fraction of the backward pass finished when bucket b's last gradient
   // is ready: cumulative numel share through b in pack order (the simulated

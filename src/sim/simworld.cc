@@ -1,28 +1,17 @@
 #include "sim/simworld.h"
 
 #include <algorithm>
-#include <ctime>
 #include <limits>
 #include <sstream>
 #include <vector>
 
 #include "comm/topology.h"
 #include "core/registry.h"
+#include "sim/pricing.h"
 #include "sim/scheduler.h"
 #include "tensor/rng.h"
 
 namespace grace::sim {
-namespace {
-
-// Thread-CPU time, same clock the thread-backed GraceWorker measures its
-// codec kernels with.
-double now_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-}  // namespace
 
 ScaleResult simulate_scale(const ReplicaFactory& factory,
                            const TrainConfig& cfg) {
@@ -79,33 +68,25 @@ ScaleResult simulate_scale(const ReplicaFactory& factory,
   model->module().zero_grad();
   model->forward_backward(slice, batch_rng);
 
-  const bool compressing =
-      core::parse_spec(cfg.grace.compressor_spec).name != "none";
-  const double fixed_per_tensor =
-      compressing ? cfg.time.compression_fixed_per_tensor : 0.0;
-  const double scale = cfg.time.compression_time_scale;
   const bool allreduce_mode =
       grace.compressor().comm_mode() == core::CommMode::Allreduce;
 
-  // Simulated device times, identical to the trainer's. The iteration is
-  // priced at the slowest member of the fleet (the rank every collective
-  // waits for); the straggler's multiplier stretches compute and codec.
-  r.compute_s =
-      cfg.time.compute_seconds(model->flops_per_sample(), cfg.batch_per_worker) *
-      worst_compute;
-  r.optimizer_s =
-      cfg.time.optimizer_seconds(model->module().num_parameters());
-  const double backward_share =
-      cfg.time.backward_factor / (1.0 + cfg.time.backward_factor);
-  const double forward_s = r.compute_s * (1.0 - backward_share);
-  const double backward_s = r.compute_s * backward_share;
+  // Priced by the trainer's core (sim/pricing.h) as one rank: the slowest
+  // member of the fleet, the one every collective waits for; its
+  // multiplier stretches compute and codec.
+  const Pricing pricing(
+      cfg.time, model->flops_per_sample(), cfg.batch_per_worker,
+      model->module().num_parameters(),
+      core::parse_spec(cfg.grace.compressor_spec).name != "none");
+  const DeviceTimes dev = pricing.device(worst_compute);
+  r.compute_s = dev.compute_s;
+  r.optimizer_s = pricing.optimizer_s();
 
   // Submit every bucket through the real pipeline; from each payload take
   // the measured codec costs, the logical wire size, the physical blob
   // size, and the exact per-round transport volume under this topology.
   comm::WireVolume iter_vol;
   std::vector<BucketTiming> timings(n_buckets);
-  double compress_sum = 0.0, decompress_sum = 0.0, comm_sum = 0.0;
   for (size_t b = 0; b < n_buckets; ++b) {
     core::ExchangeHandle h = sched.submit_bucket(grace, b, /*instrument=*/true);
     const uint64_t wire = h.stats.wire_bytes;
@@ -117,19 +98,18 @@ ScaleResult simulate_scale(const ReplicaFactory& factory,
     // count depends on the dataflow. Allgather: every rank decompresses
     // all n payloads. Allreduce: one decompression of the sum. PS: the
     // serving shard decompresses all n uploads — the codec bottleneck rank.
-    const double t0 = now_seconds();
-    Tensor reconstructed = grace.compressor().decompress(h.payload);
-    const double one_decompress = now_seconds() - t0;
-    (void)reconstructed;
+    const double t0 = core::thread_cpu_seconds();
+    [[maybe_unused]] const Tensor out =
+        grace.compressor().decompress(h.payload);
+    const double one_decompress = core::thread_cpu_seconds() - t0;
 
     double comm_s = 0.0;
-    double decompress_s = 0.0;
+    double decompress_s = one_decompress * n;
     if (kind == comm::TopologyKind::ParameterServer) {
       const Tensor blob = core::serialize(h.payload);
       comm_s = topo->push_pull_seconds(wire * static_cast<uint64_t>(n),
                                        dense_bytes);
       iter_vol += topo->push_pull_volume(blob.size_bytes(), dense_bytes);
-      decompress_s = one_decompress * n;
     } else if (allreduce_mode) {
       comm_s = topo->allreduce_seconds(wire);
       for (const Tensor& part : h.payload.parts) {
@@ -140,36 +120,22 @@ ScaleResult simulate_scale(const ReplicaFactory& factory,
       const Tensor blob = core::serialize(h.payload);
       comm_s = topo->allgather_seconds(wire, wire * static_cast<uint64_t>(n - 1));
       iter_vol += topo->allgather_volume(blob.size_bytes());
-      decompress_s = one_decompress * n;
     }
 
-    BucketTiming& t = timings[b];
-    t.ready_s = forward_s + backward_s * sched.ready_fraction(b);
-    t.compress_s =
-        (h.stats.compress_seconds * scale + fixed_per_tensor) * worst_compute;
-    t.comm_s = comm_s;
-    t.decompress_s = decompress_s * scale * worst_compute;
-    compress_sum += t.compress_s;
-    comm_sum += t.comm_s;
-    decompress_sum += t.decompress_s;
+    timings[b] = pricing.bucket(
+        {.compress_seconds = h.stats.compress_seconds,
+         .decompress_seconds = decompress_s, .comm_seconds = comm_s},
+        sched.ready_fraction(b), dev);
   }
-  r.compress_s = compress_sum;
-  r.comm_s = comm_sum;
-  r.decompress_s = decompress_sum;
-
-  // Same two accountings as the trainer: additive always, the scheduler
-  // timeline's critical path when overlap is on.
-  r.additive_iteration_s = r.compute_s + compress_sum + comm_sum +
-                           decompress_sum + r.optimizer_s;
-  const BucketSchedule bs =
-      schedule_buckets(timings, r.compute_s, cfg.time.overlap);
-  if (cfg.time.overlap) {
-    r.iteration_s =
-        std::max(r.compute_s, bs.exchange_end) + r.optimizer_s;
-    r.overlap_saved_s = r.additive_iteration_s - r.iteration_s;
-  } else {
-    r.iteration_s = r.additive_iteration_s;
-  }
+  const RankPrice rank = price_rank(timings, dev, cfg.time.overlap);
+  r.compress_s = rank.compress_s;
+  r.comm_s = rank.comm_s;
+  r.decompress_s = rank.decompress_s;
+  const IterationPrice iter =
+      price_iteration({&rank, 1}, r.optimizer_s, cfg.time.overlap);
+  r.iteration_s = iter.iteration_s;
+  r.additive_iteration_s = iter.additive_s;
+  r.overlap_saved_s = iter.additive_s - iter.iteration_s;
 
   const auto rounds =
       static_cast<uint64_t>(cfg.epochs) * static_cast<uint64_t>(r.iters_per_epoch);

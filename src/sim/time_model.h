@@ -1,11 +1,10 @@
-// Hybrid time accounting for one training iteration (DESIGN.md §1):
+// Hybrid time accounting for one training iteration (DESIGN.md §1), priced
+// by sim/pricing.h:
 //   compute   — simulated: analytic FLOPs / simulated accelerator rate
 //   compress  — measured: thread-CPU time of the real kernels, scaled by a
 //               calibration factor between this host CPU and the testbed
 //   comm      — simulated: NetworkModel alpha-beta cost of the collectives
 #pragma once
-
-#include <cstdint>
 
 namespace grace::sim {
 
@@ -38,16 +37,6 @@ struct TimeModel {
   // accounting applies — compute + codec + comm + optimizer + stall — and
   // the phase breakdown sums exactly to the iteration time.
   bool overlap = false;
-
-  double compute_seconds(double fwd_flops_per_sample, int64_t batch) const {
-    return fwd_flops_per_sample * (1.0 + backward_factor) *
-           static_cast<double>(batch) / device_flops;
-  }
-
-  double optimizer_seconds(int64_t params) const {
-    return optimizer_flops_per_param * static_cast<double>(params) /
-           device_flops;
-  }
 };
 
 }  // namespace grace::sim

@@ -18,6 +18,7 @@
 #include "sim/critical_path.h"
 #include "sim/fidelity.h"
 #include "sim/metric_registry.h"
+#include "sim/pricing.h"
 #include "sim/scheduler.h"
 #include "sim/trace.h"
 #include "tensor/ops.h"
@@ -32,11 +33,7 @@ namespace {
 struct IterRow {
   bool active = false;
   float loss = 0.0f;
-  double compress_s = 0.0;    // measured compress + memory update
-  double decompress_s = 0.0;  // measured Q^-1 over received payloads
-  double comm_s = 0.0;        // simulated comm
-  double pipe_s = 0.0;        // exchange-pipeline end (TimeModel::overlap)
-  double stall_s = 0.0;       // simulated fault stall
+  RankPrice price{};          // this rank's seconds (sim/pricing.h)
   uint64_t wire_bytes = 0;    // logical bytes
 };
 
@@ -264,15 +261,13 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
     }
   }
 
-  // Simulated per-iteration device times, identical on every worker.
-  result.compute_s =
-      cfg.time.compute_seconds(fwd_flops_per_sample, cfg.batch_per_worker);
-  const double optimizer_s = cfg.time.optimizer_seconds(result.model_parameters);
-  result.optimizer_s = optimizer_s;
-  const double backward_share =
-      cfg.time.backward_factor / (1.0 + cfg.time.backward_factor);
-  const double forward_iter_s = result.compute_s * (1.0 - backward_share);
-  const double backward_iter_s = result.compute_s * backward_share;
+  // Every simulated second is priced in sim/pricing.h. RunResult::compute_s
+  // is the uniform device's figure; each rank runs at its fleet
+  // compute_scale.
+  const Pricing pricing(cfg.time, fwd_flops_per_sample, cfg.batch_per_worker,
+                        result.model_parameters, compressing);
+  result.compute_s = pricing.device(1.0).compute_s;
+  result.optimizer_s = pricing.optimizer_s();
 
   Trace* const trace = cfg.trace;
   CompressionFidelityProbe* const fidelity =
@@ -310,27 +305,13 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
     // endpoints (sim/scheduler.h).
     ExchangeScheduler sched(model->module().parameters(), cfg.fusion_bytes);
     const size_t n_buckets = sched.n_buckets();
-    const double fixed_per_tensor =
-        compressing ? cfg.time.compression_fixed_per_tensor : 0.0;
-    const double fixed_overhead =
-        fixed_per_tensor * static_cast<double>(n_buckets);
-    // Per-rank simulated device speed (comm/fleet.h): compute AND codec
-    // seconds stretch by this rank's compute_scale. Scaling by exactly 1.0
-    // is bitwise identity, so a uniform fleet reproduces the legacy numbers
-    // to the last bit.
-    const double compute_scale = cfg.fleet.compute_scale(rank);
-    const double my_compute_s = result.compute_s * compute_scale;
-    const double my_forward_s = forward_iter_s * compute_scale;
-    const double my_backward_s = backward_iter_s * compute_scale;
+    // Compute and codec seconds stretch by this rank's compute_scale
+    // (comm/fleet.h).
+    const DeviceTimes dev = pricing.device(cfg.fleet.compute_scale(rank));
     std::vector<core::ExchangeHandle> handles;  // per-iter, reused
     handles.reserve(n_buckets);
-    std::vector<core::ExchangeStats> bucket_stats(n_buckets);
+    std::vector<uint64_t> bucket_bytes(n_buckets);
     std::vector<BucketTiming> timings(n_buckets);
-    // The per-bucket timeline is only needed when something consumes it:
-    // the overlap accounting, the trace (per-bucket start offsets), or the
-    // critical-path collector.
-    const bool need_schedule =
-        cfg.time.overlap || trace != nullptr || cpath != nullptr;
     std::vector<int64_t> wrapped;  // slice buffer when the batch wraps
 
     // Adaptive controller (one identical instance per rank). Initial arm
@@ -379,39 +360,20 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
                                      static_cast<int16_t>(rank), phase, tensor,
                                      seconds, bytes, start});
     };
-    // Per-bucket exchange phases carry the bucket's stable id as the tensor
-    // slot and, when the timeline was simulated, the absolute start of each
-    // stage within the iteration (Chrome traces then show overlap).
-    auto record_exchange = [&](int epoch, int64_t it, int32_t bucket,
-                               const core::ExchangeStats& s,
-                               const BucketSpan* span) {
-      record(epoch, it, Phase::Compress, bucket,
-             s.compress_seconds * cfg.time.compression_time_scale +
-                 fixed_per_tensor,
-             0, span ? span->compress_start : -1.0);
-      record(epoch, it, Phase::Comm, bucket, s.comm_seconds, s.wire_bytes,
-             span ? span->comm_start : -1.0);
-      record(epoch, it, Phase::Decompress, bucket,
-             s.decompress_seconds * cfg.time.compression_time_scale, 0,
-             span ? span->decompress_start : -1.0);
-    };
-    // Per-exchange distributions (the same scaled quantities the trace
-    // records, so the registry's tails are comparable with the phase means).
-    auto record_metrics = [&](const core::ExchangeStats& s, int64_t numel) {
+    // Per-exchange distributions (the same priced stages the trace records,
+    // so the registry's tails are comparable with the phase means).
+    auto record_metrics = [&](size_t b) {
+      const BucketTiming& t = timings[b];
       metrics->inc(rank, "exchange.count");
-      metrics->inc(rank, "exchange.wire_bytes_total", s.wire_bytes);
-      metrics->observe(rank, "exchange.compress_ns",
-                       (s.compress_seconds * cfg.time.compression_time_scale +
-                        fixed_per_tensor) * 1e9);
-      metrics->observe(rank, "exchange.decompress_ns",
-                       s.decompress_seconds *
-                           cfg.time.compression_time_scale * 1e9);
-      metrics->observe(rank, "exchange.comm_ns", s.comm_seconds * 1e9);
+      metrics->inc(rank, "exchange.wire_bytes_total", bucket_bytes[b]);
+      metrics->observe(rank, "exchange.compress_ns", t.compress_s * 1e9);
+      metrics->observe(rank, "exchange.decompress_ns", t.decompress_s * 1e9);
+      metrics->observe(rank, "exchange.comm_ns", t.comm_s * 1e9);
       metrics->observe(rank, "exchange.wire_bytes",
-                       static_cast<double>(s.wire_bytes));
+                       static_cast<double>(bucket_bytes[b]));
       metrics->inc(rank, "sched.bucket_exchanges");
       metrics->observe(rank, "sched.bucket_bytes",
-                       static_cast<double>(numel) * 4.0);
+                       static_cast<double>(sched.buckets()[b].numel) * 4.0);
     };
     // One controller decision boundary. The per-bucket signal window is
     // this rank's probe totals minus the previous boundary's baseline
@@ -608,8 +570,8 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
         IterRow row{.active = true,
                     .loss = model->forward_backward(slice, batch_rng)};
         if (trace) {
-          record(epoch, it, Phase::Forward, -1, my_forward_s, 0);
-          record(epoch, it, Phase::Backward, -1, my_backward_s, 0);
+          record(epoch, it, Phase::Forward, -1, dev.forward_s, 0);
+          record(epoch, it, Phase::Backward, -1, dev.backward_s, 0);
         }
 
         const bool skip_round = plan != nullptr && plan->round_skipped(epoch, it);
@@ -620,7 +582,8 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
         // participates; an outage window forces non-participation.
         const bool participate =
             !pp_on || plan->participates(rank, epoch, it);
-        core::ExchangeStats stats;
+        // This round's priced buckets; none when the round is skipped.
+        std::span<const BucketTiming> priced;
         if (skip_round) {
           // Degraded round: the exchange is lost on every rank. Fold the
           // computed gradients into the error-feedback residual — at the
@@ -628,15 +591,13 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
           // the work feeds the next round; no optimizer step (replicas
           // remain identical because everyone skips the same rounds).
           sched.absorb_all(grace);
-          // No exchange happened, so the pipeline ends with compute.
-          row.pipe_s = my_compute_s;
-          if (cpath) cpath->record(rank, {});  // skipped round: no buckets
           if (rank == 0) ++log.rounds_skipped;
         } else {
           // Submit every bucket (compensate + compress + memory update, all
           // compressor/EF state mutation and RNG draws, in pack order —
           // identical to the legacy exchange order), then wait for each in
-          // submission order and scatter its aggregate into the optimizer.
+          // submission order, price it, and scatter its aggregate into the
+          // optimizer.
           if (!participate) ++log.sat_out_rounds;
           for (size_t b = 0; b < n_buckets; ++b) {
             handles.push_back(
@@ -645,12 +606,12 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
                     : sched.submit_bucket_zero(grace, b, /*instrument=*/true));
           }
           for (size_t b = 0; b < n_buckets; ++b) {
-            bucket_stats[b] = core::ExchangeStats{};  // wait() accumulates
-            Tensor aggregated = grace.wait(std::move(handles[b]), &bucket_stats[b]);
-            stats += bucket_stats[b];
-            if (metrics) {
-              record_metrics(bucket_stats[b], sched.buckets()[b].numel);
-            }
+            core::ExchangeStats s;  // wait() accumulates
+            Tensor aggregated = grace.wait(std::move(handles[b]), &s);
+            timings[b] = pricing.bucket(s, sched.ready_fraction(b), dev);
+            bucket_bytes[b] = s.wire_bytes;
+            row.wire_bytes += s.wire_bytes;
+            if (metrics) record_metrics(b);
             sched.apply_bucket(
                 b, aggregated,
                 [&](size_t slot, std::span<float> param, std::span<const float> g) {
@@ -658,44 +619,38 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
                 });
           }
           handles.clear();
-          // Lay the buckets out on the simulated per-rank timeline: bucket
-          // b's compression may start once its gradients are ready during
-          // backward (cumulative-numel ramp), buckets serialize on the
-          // codec stages and on the link. With overlap off the same pass
-          // reproduces the additive layout, so traces stay sequential.
-          if (need_schedule) {
-            for (size_t b = 0; b < n_buckets; ++b) {
-              const core::ExchangeStats& s = bucket_stats[b];
-              timings[b].ready_s =
-                  my_forward_s + my_backward_s * sched.ready_fraction(b);
-              timings[b].compress_s =
-                  (s.compress_seconds * cfg.time.compression_time_scale +
-                   fixed_per_tensor) *
-                  compute_scale;
-              timings[b].comm_s = s.comm_seconds;
-              timings[b].decompress_s =
-                  s.decompress_seconds * cfg.time.compression_time_scale *
-                  compute_scale;
-            }
-            if (cpath) cpath->record(rank, timings);
-            const BucketSchedule bs =
-                schedule_buckets(timings, my_compute_s, cfg.time.overlap);
-            if (trace) {
-              for (size_t b = 0; b < n_buckets; ++b) {
-                record_exchange(epoch, it, sched.buckets()[b].id,
-                                bucket_stats[b], &bs.spans[b]);
-              }
-            }
-            if (cfg.time.overlap) {
-              row.pipe_s = std::max(my_compute_s, bs.exchange_end);
-              if (metrics) {
-                metrics->observe(rank, "sched.overlap_saved_ns",
-                                 (bs.additive_end - row.pipe_s) * 1e9);
-              }
-            }
-          }
+          priced = timings;
         }
-        if (trace) record(epoch, it, Phase::Optimizer, -1, optimizer_s, 0);
+        // Bucket b's compression may start once its gradients are ready
+        // during backward (cumulative-numel ramp); buckets serialize on the
+        // codec stages and on the link. With overlap off the same layout is
+        // the additive one, so traces stay sequential. The layout feeds the
+        // overlap metric and the trace's per-bucket start offsets.
+        BucketSchedule layout;
+        const bool laid_out = cfg.time.overlap || trace != nullptr;
+        row.price = price_rank(priced, dev, cfg.time.overlap,
+                               laid_out ? &layout : nullptr);
+        if (cpath) cpath->record(rank, priced);
+        // Per-bucket stages carry the bucket's stable id as the tensor slot
+        // and their absolute start within the iteration (Chrome traces then
+        // show overlap).
+        for (size_t b = 0; trace && b < priced.size(); ++b) {
+          const int32_t id = sched.buckets()[b].id;
+          const BucketSpan& at = layout.spans[b];
+          record(epoch, it, Phase::Compress, id, priced[b].compress_s, 0,
+                 at.compress_start);
+          record(epoch, it, Phase::Comm, id, priced[b].comm_s, bucket_bytes[b],
+                 at.comm_start);
+          record(epoch, it, Phase::Decompress, id, priced[b].decompress_s, 0,
+                 at.decompress_start);
+        }
+        if (metrics && cfg.time.overlap && !skip_round) {
+          metrics->observe(rank, "sched.overlap_saved_ns",
+                           (layout.additive_end - row.price.pipe_s) * 1e9);
+        }
+        if (trace) {
+          record(epoch, it, Phase::Optimizer, -1, pricing.optimizer_s(), 0);
+        }
 
         // Fault stall: the straggler delay this plan assigns to (rank,
         // epoch, it) plus every simulated retry charge this rank's
@@ -731,15 +686,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
           if (rank == 0 && views[bound].size() < n) ++log.degraded_iters;
         }
 
-        row.compress_s =
-            (stats.compress_seconds * cfg.time.compression_time_scale +
-             fixed_overhead) *
-            compute_scale;
-        row.decompress_s = stats.decompress_seconds *
-                           cfg.time.compression_time_scale * compute_scale;
-        row.comm_s = stats.comm_seconds;
-        row.stall_s = stall;
-        row.wire_bytes = stats.wire_bytes;
+        row.price.stall_s = stall;
         log.rows.push_back(row);
         // Intra-epoch decision boundary (never doubled with the epoch-end
         // one); the condition depends only on shared schedule state, so
@@ -819,163 +766,61 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
   result.samples_dropped_per_epoch =
       std::max<int64_t>(0, probe_train_n - result.samples_per_epoch);
 
-  // Per-iteration simulated time. Additive accounting (the default):
-  // compute + the slowest worker's measured compression overhead +
-  // simulated comm (identical across workers) + the simulated optimizer
-  // step + the slowest worker's fault stall. Under TimeModel::overlap the
-  // iteration instead ends when the slowest alive rank's exchange pipeline
-  // drains (sim/scheduler.h) — the additive figure is still computed so
-  // the phase breakdown and the overlap saving stay reportable. Maxima run
-  // over the ranks that ran the iteration: the log of a rank that left ends
-  // early, and a parked rank's holds zero placeholder rows.
-  auto ran = [&](size_t r, int64_t it) {
-    const std::vector<IterRow>& rows = logs[r].rows;
-    return static_cast<size_t>(it) < rows.size() &&
-           rows[static_cast<size_t>(it)].active;
-  };
+  // Per-iteration simulated time, closed by the pricing core over the
+  // ranks that ran the iteration: the log of a rank that left ends early,
+  // and a parked rank's holds zero placeholder rows.
   std::vector<double> iter_seconds(static_cast<size_t>(total_iters));
   double compress_sum = 0.0, decompress_sum = 0.0, comm_sum = 0.0,
-         stall_sum = 0.0, bytes_sum = 0.0;
+         stall_sum = 0.0, bytes_sum = 0.0, scale_sum = 0.0, iter_sum = 0.0;
   double additive_sum = 0.0, saved_sum = 0.0;
   result.overlap_enabled = cfg.time.overlap;
-  // Critical-path accumulators (cpath runs only).
-  CriticalPathSummary& cps = result.critical_path;
-  double cp_compute_sum = 0.0, cp_codec_sum = 0.0, cp_link_sum = 0.0,
-         cp_optimizer_sum = 0.0, cp_stall_sum = 0.0, cp_iter_sum = 0.0;
-  std::array<double, kScenarios.size()> whatif_sum{};
-  std::vector<std::span<const BucketTiming>> rank_spans;
-  // Per-rank simulated compute: the shared probe figure scaled by the
-  // rank's fleet compute profile. A uniform fleet multiplies by 1.0, so the
-  // max below reproduces result.compute_s bitwise.
-  std::vector<double> rank_compute(logs.size());
-  for (size_t r = 0; r < logs.size(); ++r) {
-    rank_compute[r] =
-        result.compute_s * cfg.fleet.compute_scale(static_cast<int>(r));
-  }
+  std::vector<RankPrice> ranks;
+  std::vector<std::span<const BucketTiming>> rank_timings;
   for (int64_t it = 0; it < total_iters; ++it) {
-    // The slowest worker this iteration sets the compression overhead; use
-    // that worker's compress/decompress split so the phase columns sum to
-    // exactly the charged overhead.
-    double max_overhead = 0.0, max_compress = 0.0, max_decompress = 0.0;
-    double max_stall = 0.0, max_pipe = 0.0, max_compute = 0.0;
-    int pipe_rank = -1;  // which rank's pipeline bound (overlap runs)
+    const auto i = static_cast<size_t>(it);
+    ranks.clear();
+    rank_timings.clear();
     for (size_t r = 0; r < logs.size(); ++r) {
-      if (!ran(r, it)) continue;
-      const IterRow& row = logs[r].rows[static_cast<size_t>(it)];
-      max_compute = std::max(max_compute, rank_compute[r]);
-      const double c = row.compress_s;
-      const double d = row.decompress_s;
-      if (c + d >= max_overhead) {
-        max_overhead = c + d;
-        max_compress = c;
-        max_decompress = d;
-      }
-      max_stall = std::max(max_stall, row.stall_s);
-      if (cfg.time.overlap) {
-        // Strict > matches std::max's keep-the-first tie rule, so the
-        // tracked rank is exactly the one whose pipe value max_pipe holds.
-        const double p = row.pipe_s;
-        if (p > max_pipe || pipe_rank < 0) {
-          max_pipe = std::max(max_pipe, p);
-          pipe_rank = static_cast<int>(r);
-        }
+      if (i >= logs[r].rows.size() || !logs[r].rows[i].active) continue;
+      ranks.push_back(logs[r].rows[i].price);
+      if (cpath) {
+        rank_timings.push_back(cpath->timings(static_cast<int>(r), it));
       }
     }
-    const IterRow& row0 = logs[0].rows[static_cast<size_t>(it)];
-    const double comm = row0.comm_s;
-    const double additive =
-        max_compute + max_overhead + comm + optimizer_s + max_stall;
-    double iter = additive;
-    if (cfg.time.overlap) {
-      iter = max_pipe + optimizer_s + max_stall;
-      saved_sum += additive - iter;
-    }
-    additive_sum += additive;
-    iter_seconds[static_cast<size_t>(it)] = iter;
-    compress_sum += max_compress;
-    decompress_sum += max_decompress;
-    comm_sum += comm;
-    stall_sum += max_stall;
-    bytes_sum += static_cast<double>(row0.wire_bytes);
-    if (cpath != nullptr) {
-      // Assemble the binding-rank view from the exact doubles above and
-      // attribute the iteration; the re-derived iteration_s is bitwise
-      // equal to `iter` (same schedule inputs, same summation order).
-      IterationCosts costs;
-      costs.compute_s = max_compute;
-      costs.codec_s = max_overhead;
-      costs.comm_s = comm;
-      costs.optimizer_s = optimizer_s;
-      costs.stall_s = max_stall;
-      if (cfg.time.overlap && pipe_rank >= 0) {
-        costs.timings = cpath->timings(pipe_rank, it);
-      }
-      rank_spans.clear();
-      for (size_t r = 0; r < logs.size(); ++r) {
-        if (!ran(r, it)) continue;
-        rank_spans.push_back(cpath->timings(static_cast<int>(r), it));
-      }
-      IterationAttribution a = attribute_iteration(costs, cfg.time.overlap);
-      cp_compute_sum += a.compute_s;
-      cp_codec_sum += a.codec_s;
-      cp_link_sum += a.link_s;
-      cp_optimizer_sum += a.optimizer_s;
-      cp_stall_sum += a.stall_s;
-      cp_iter_sum += a.iteration_s;
-      ++cps.bound_iters[static_cast<size_t>(a.binding)];
-      cps.per_iteration.push_back(a);
-      for (size_t s = 0; s < kScenarios.size(); ++s) {
-        whatif_sum[s] +=
-            reprice_iteration(costs, rank_spans, cfg.time.overlap,
-                              kScenarios[s]);
-      }
-    }
+    const IterationPrice p =
+        price_iteration(ranks, pricing.optimizer_s(), cfg.time.overlap);
+    iter_seconds[i] = p.iteration_s;
+    iter_sum += p.iteration_s;
+    additive_sum += p.additive_s;
+    saved_sum += p.additive_s - p.iteration_s;
+    scale_sum += p.device.compute_scale;
+    compress_sum += p.compress_s;
+    decompress_sum += p.decompress_s;
+    comm_sum += p.comm_s;
+    stall_sum += p.stall_s;
+    bytes_sum += static_cast<double>(logs[0].rows[i].wire_bytes);
+    if (cpath) result.critical_path.add(p, ranks, rank_timings);
   }
   if (total_iters > 0) {
     const auto iters = static_cast<double>(total_iters);
     result.comm_s = comm_sum / iters;
     result.compress_s = (compress_sum + decompress_sum) / iters;
     result.wire_bytes_per_iter = bytes_sum / iters;
-    result.phases.forward_s = forward_iter_s;
-    result.phases.backward_s = backward_iter_s;
+    // The iterations' binding compute, split at the mean compute_scale (a
+    // uniform fleet's is exactly 1).
+    const DeviceTimes mean_dev = pricing.device(scale_sum / iters);
+    result.phases.forward_s = mean_dev.forward_s;
+    result.phases.backward_s = mean_dev.backward_s;
     result.phases.compress_s = compress_sum / iters;
     result.phases.comm_s = result.comm_s;
     result.phases.decompress_s = decompress_sum / iters;
-    result.phases.optimizer_s = optimizer_s;
+    result.phases.optimizer_s = result.optimizer_s;
     result.phases.stall_s = stall_sum / iters;
-    double iter_sum = 0.0;
-    for (double s : iter_seconds) iter_sum += s;
     result.iteration_s = iter_sum / iters;
     result.overlap_saved_s = saved_sum / iters;
     result.overlap_fraction =
         additive_sum > 0.0 ? saved_sum / additive_sum : 0.0;
-    if (cpath != nullptr) {
-      cps.collected = true;
-      cps.iterations = total_iters;
-      cps.mean.compute_s = cp_compute_sum / iters;
-      cps.mean.codec_s = cp_codec_sum / iters;
-      cps.mean.link_s = cp_link_sum / iters;
-      cps.mean.optimizer_s = cp_optimizer_sum / iters;
-      cps.mean.stall_s = cp_stall_sum / iters;
-      // cp_iter_sum accumulated the same bitwise values as iter_sum in the
-      // same order, so the mean matches result.iteration_s exactly; fold
-      // the category-rounding residue so the mean ledger closes too.
-      cps.mean.iteration_s = cp_iter_sum / iters;
-      close_ledger(cps.mean);
-      size_t top = 0;
-      for (size_t r = 1; r < kNumResources; ++r) {
-        if (cps.bound_iters[r] > cps.bound_iters[top]) top = r;
-      }
-      cps.mean.binding = static_cast<Resource>(top);
-      for (size_t s = 0; s < kScenarios.size(); ++s) {
-        WhatIfResult w;
-        w.name = scenario_name(kScenarios[s]);
-        w.iteration_s = whatif_sum[s] / iters;
-        w.speedup =
-            w.iteration_s > 0.0 ? result.iteration_s / w.iteration_s : 1.0;
-        cps.what_ifs.push_back(std::move(w));
-      }
-    }
+    if (cpath) result.critical_path.finish(result.iteration_s);
   }
 
   // Steady-state throughput over the trailing window (paper: last 100 iters).

@@ -37,8 +37,8 @@ struct TrainConfig {
   // profile is a uniform fleet and leaves every number bit-identical to the
   // pre-fleet trainer. Non-uniform fleets price collectives at the
   // bottleneck member link and scale each rank's simulated compute and
-  // measured codec seconds by its compute_scale; wire volumes and the
-  // training math itself are never affected.
+  // measured codec seconds by its compute_scale (sim/pricing.h); wire
+  // volumes and the training math itself are never affected.
   comm::FleetProfile fleet;
   TimeModel time;
   uint64_t seed = 42;

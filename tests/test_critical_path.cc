@@ -28,23 +28,31 @@ TrainConfig tiny_config(const Benchmark& b, int workers = 4) {
 }
 
 // ---------------------------------------------------------------------------
-// Unit: attribute_iteration on hand-built timelines. Stage durations are
-// dyadic rationals so every intermediate sum is exact and the expected
-// category charges can be asserted bitwise, residue-free.
+// Unit: attribute_iteration on hand-built timelines, priced through the
+// core (sim/pricing.h). Stage durations are dyadic rationals so every
+// intermediate sum is exact and the expected category charges can be
+// asserted bitwise, residue-free.
+
+// One rank of device compute `compute_s` exchanging `timings`.
+RankPrice rank_price(std::span<const BucketTiming> timings, double compute_s,
+                     bool overlap, double stall_s = 0.0) {
+  DeviceTimes dev;
+  dev.compute_s = compute_s;
+  RankPrice r = price_rank(timings, dev, overlap);
+  r.stall_s = stall_s;
+  return r;
+}
 
 TEST(CriticalPath, AdditiveAttributionIsThePhaseLedger) {
-  IterationCosts costs;
-  costs.compute_s = 0.375;
-  costs.codec_s = 0.25;
-  costs.comm_s = 0.75;
-  costs.optimizer_s = 0.0625;
-  costs.stall_s = 0.03125;
-  const IterationAttribution a = attribute_iteration(costs, /*overlap=*/false);
-  EXPECT_EQ(a.compute_s, costs.compute_s);
-  EXPECT_EQ(a.codec_s, costs.codec_s);
-  EXPECT_EQ(a.link_s, costs.comm_s);
-  EXPECT_EQ(a.optimizer_s, costs.optimizer_s);
-  EXPECT_EQ(a.stall_s, costs.stall_s);
+  const std::vector<BucketTiming> t = {{0.0, 0.25, 0.75, 0.0}};
+  const RankPrice rank = rank_price(t, 0.375, /*overlap=*/false, 0.03125);
+  const IterationPrice p = price_iteration({&rank, 1}, 0.0625, false);
+  const IterationAttribution a = attribute_iteration(p, t);
+  EXPECT_EQ(a.compute_s, 0.375);
+  EXPECT_EQ(a.codec_s, 0.25);
+  EXPECT_EQ(a.link_s, 0.75);
+  EXPECT_EQ(a.optimizer_s, 0.0625);
+  EXPECT_EQ(a.stall_s, 0.03125);
   EXPECT_EQ(a.iteration_s, 0.375 + 0.25 + 0.75 + 0.0625 + 0.03125);
   EXPECT_EQ(a.attributed_total(), a.iteration_s);
   EXPECT_EQ(a.binding, Resource::Link);
@@ -55,11 +63,10 @@ TEST(CriticalPath, OverlapLinkBoundChain) {
   // decompress with no idle gaps, so every segment lands in its own
   // category exactly.
   const std::vector<BucketTiming> t = {{0.5, 0.25, 2.0, 0.125}};
-  IterationCosts costs;
-  costs.timings = t;
-  costs.compute_s = 1.0;  // pipeline (2.875) outlasts compute
-  costs.optimizer_s = 0.0625;
-  const IterationAttribution a = attribute_iteration(costs, /*overlap=*/true);
+  // Pipeline (2.875) outlasts compute (1.0).
+  const RankPrice rank = rank_price(t, 1.0, /*overlap=*/true);
+  const IterationPrice p = price_iteration({&rank, 1}, 0.0625, true);
+  const IterationAttribution a = attribute_iteration(p, t);
   EXPECT_EQ(a.compute_s, 0.5);    // the readiness ramp gating the bucket
   EXPECT_EQ(a.codec_s, 0.375);    // compress + decompress
   EXPECT_EQ(a.link_s, 2.0);
@@ -73,11 +80,9 @@ TEST(CriticalPath, OverlapComputeBoundIterationChargesCompute) {
   // The exchange pipeline (end 1.5) hides entirely under compute (10.0):
   // the whole pipe is compute's, no codec/link charges.
   const std::vector<BucketTiming> t = {{0.5, 0.25, 0.5, 0.25}};
-  IterationCosts costs;
-  costs.timings = t;
-  costs.compute_s = 10.0;
-  costs.optimizer_s = 0.25;
-  const IterationAttribution a = attribute_iteration(costs, /*overlap=*/true);
+  const RankPrice rank = rank_price(t, 10.0, /*overlap=*/true);
+  const IterationPrice p = price_iteration({&rank, 1}, 0.25, true);
+  const IterationAttribution a = attribute_iteration(p, t);
   EXPECT_EQ(a.compute_s, 10.0);
   EXPECT_EQ(a.codec_s, 0.0);
   EXPECT_EQ(a.link_s, 0.0);
@@ -94,10 +99,9 @@ TEST(CriticalPath, OverlapCodecSerializationChain) {
   //   b1: compress [1, 2],   comm [2, 2.25],  dec [2.25, 2.5]
   const std::vector<BucketTiming> t = {{0.0, 1.0, 0.25, 0.25},
                                        {0.0, 1.0, 0.25, 0.25}};
-  IterationCosts costs;
-  costs.timings = t;
-  costs.compute_s = 0.5;
-  const IterationAttribution a = attribute_iteration(costs, /*overlap=*/true);
+  const RankPrice rank = rank_price(t, 0.5, /*overlap=*/true);
+  const IterationPrice p = price_iteration({&rank, 1}, 0.0, true);
+  const IterationAttribution a = attribute_iteration(p, t);
   EXPECT_EQ(a.compute_s, 0.0);   // b0 was ready at iteration start
   EXPECT_EQ(a.codec_s, 2.25);    // b0.compress + b1.compress + b1.dec
   EXPECT_EQ(a.link_s, 0.25);     // b1.comm
@@ -114,10 +118,9 @@ TEST(CriticalPath, OverlapLinkSerializationChain) {
   //   b1: compress [0.25, 0.5],  comm [1.25, 2.25],  dec [2.25, 2.5]
   const std::vector<BucketTiming> t = {{0.0, 0.25, 1.0, 0.25},
                                        {0.0, 0.25, 1.0, 0.25}};
-  IterationCosts costs;
-  costs.timings = t;
-  costs.compute_s = 0.5;
-  const IterationAttribution a = attribute_iteration(costs, /*overlap=*/true);
+  const RankPrice rank = rank_price(t, 0.5, /*overlap=*/true);
+  const IterationPrice p = price_iteration({&rank, 1}, 0.0, true);
+  const IterationAttribution a = attribute_iteration(p, t);
   EXPECT_EQ(a.compute_s, 0.0);
   EXPECT_EQ(a.codec_s, 0.5);   // b0.compress + b1.dec
   EXPECT_EQ(a.link_s, 2.0);    // both comm stages
@@ -127,17 +130,19 @@ TEST(CriticalPath, OverlapLinkSerializationChain) {
 }
 
 TEST(CriticalPath, SkippedRoundIsComputePlusStall) {
-  IterationCosts costs;
-  costs.compute_s = 2.0;
-  costs.stall_s = 0.5;
-  costs.optimizer_s = 0.25;
-  const IterationAttribution a = attribute_iteration(costs, /*overlap=*/true);
-  EXPECT_EQ(a.compute_s, 2.0);
-  EXPECT_EQ(a.codec_s, 0.0);
-  EXPECT_EQ(a.link_s, 0.0);
-  EXPECT_EQ(a.stall_s, 0.5);
-  EXPECT_EQ(a.iteration_s, 2.75);
-  EXPECT_EQ(a.attributed_total(), a.iteration_s);
+  // A skipped round has no buckets, so it costs no codec under either
+  // accounting.
+  for (const bool overlap : {false, true}) {
+    const RankPrice rank = rank_price({}, 2.0, overlap, 0.5);
+    const IterationPrice p = price_iteration({&rank, 1}, 0.25, overlap);
+    const IterationAttribution a = attribute_iteration(p, {});
+    EXPECT_EQ(a.compute_s, 2.0);
+    EXPECT_EQ(a.codec_s, 0.0);
+    EXPECT_EQ(a.link_s, 0.0);
+    EXPECT_EQ(a.stall_s, 0.5);
+    EXPECT_EQ(a.iteration_s, 2.75);
+    EXPECT_EQ(a.attributed_total(), a.iteration_s);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -145,64 +150,57 @@ TEST(CriticalPath, SkippedRoundIsComputePlusStall) {
 
 TEST(CriticalPath, WhatIfRepricesTheClosedFormTimeline) {
   const std::vector<BucketTiming> t = {{0.5, 0.25, 2.0, 0.125}};
-  IterationCosts costs;
-  costs.timings = t;
-  costs.compute_s = 1.0;
-  costs.optimizer_s = 0.0625;
-  costs.stall_s = 0.25;
+  const RankPrice rank = rank_price(t, 1.0, /*overlap=*/true, 0.25);
+  const IterationPrice p = price_iteration({&rank, 1}, 0.0625, true);
   const std::vector<std::span<const BucketTiming>> ranks = {t};
+  auto reprice = [&](Scenario s) {
+    return reprice_iteration(p, {&rank, 1}, ranks, s);
+  };
 
   // Measured overlap iteration: pipe 2.875 + optimizer + stall.
   const double measured = 2.875 + 0.0625 + 0.25;
+  EXPECT_EQ(p.iteration_s, measured);
 
   // Infinite bandwidth: comm -> 0, pipe = max(compute, 0.5+0.25+0.125) =
   // compute; the compute floor binds.
-  EXPECT_EQ(reprice_iteration(costs, ranks, true, Scenario::InfiniteBandwidth),
-            1.0 + 0.0625 + 0.25);
+  EXPECT_EQ(reprice(Scenario::InfiniteBandwidth), 1.0 + 0.0625 + 0.25);
   // Free codec: compress/dec -> 0, pipe = ramp + comm = 2.5.
-  EXPECT_EQ(reprice_iteration(costs, ranks, true, Scenario::FreeCodec),
-            2.5 + 0.0625 + 0.25);
+  EXPECT_EQ(reprice(Scenario::FreeCodec), 2.5 + 0.0625 + 0.25);
   // Zero stall: same pipe, stall dropped.
-  EXPECT_EQ(reprice_iteration(costs, ranks, true, Scenario::ZeroStall),
-            2.875 + 0.0625);
+  EXPECT_EQ(reprice(Scenario::ZeroStall), 2.875 + 0.0625);
   // Perfect overlap: ramp -> 0, pipe = max(compute, 0.25 + 2.0 + 0.125).
-  EXPECT_EQ(reprice_iteration(costs, ranks, true, Scenario::PerfectOverlap),
-            2.375 + 0.0625 + 0.25);
+  EXPECT_EQ(reprice(Scenario::PerfectOverlap), 2.375 + 0.0625 + 0.25);
 
   for (Scenario s : kScenarios) {
-    const double w = reprice_iteration(costs, ranks, true, s);
+    const double w = reprice(s);
     // Never below the compute + optimizer bound, never above measured.
-    EXPECT_GE(w, costs.compute_s + costs.optimizer_s) << scenario_name(s);
+    EXPECT_GE(w, 1.0 + 0.0625) << scenario_name(s);
     EXPECT_LE(w, measured) << scenario_name(s);
   }
 }
 
 TEST(CriticalPath, WhatIfOnAdditiveRunsRepricesTheSum) {
   const std::vector<BucketTiming> t = {{0.5, 0.25, 2.0, 0.125}};
-  IterationCosts costs;
-  costs.timings = t;
-  costs.compute_s = 1.0;
-  costs.codec_s = 0.375;
-  costs.comm_s = 2.0;
-  costs.optimizer_s = 0.0625;
-  costs.stall_s = 0.25;
+  const RankPrice rank = rank_price(t, 1.0, /*overlap=*/false, 0.25);
+  const IterationPrice p = price_iteration({&rank, 1}, 0.0625, false);
   const std::vector<std::span<const BucketTiming>> ranks = {t};
+  auto reprice = [&](Scenario s) {
+    return reprice_iteration(p, {&rank, 1}, ranks, s);
+  };
+  // Codec 0.375 = compress 0.25 + decompress 0.125; comm 2.0.
   const double additive = ((((1.0 + 0.375) + 2.0) + 0.0625) + 0.25);
+  EXPECT_EQ(p.iteration_s, additive);
 
   // Scalar scenarios zero one term of the additive sum.
-  EXPECT_EQ(reprice_iteration(costs, ranks, false, Scenario::InfiniteBandwidth),
-            additive - 2.0);
-  EXPECT_EQ(reprice_iteration(costs, ranks, false, Scenario::FreeCodec),
-            additive - 0.375);
-  EXPECT_EQ(reprice_iteration(costs, ranks, false, Scenario::ZeroStall),
-            additive - 0.25);
+  EXPECT_EQ(reprice(Scenario::InfiniteBandwidth), additive - 2.0);
+  EXPECT_EQ(reprice(Scenario::FreeCodec), additive - 0.375);
+  EXPECT_EQ(reprice(Scenario::ZeroStall), additive - 0.25);
   // Perfect overlap prices the pipeline instead — never more than the
   // additive sum, never less than compute + optimizer.
-  const double po =
-      reprice_iteration(costs, ranks, false, Scenario::PerfectOverlap);
+  const double po = reprice(Scenario::PerfectOverlap);
   EXPECT_EQ(po, 2.375 + 0.0625 + 0.25);
   EXPECT_LE(po, additive);
-  EXPECT_GE(po, costs.compute_s + costs.optimizer_s);
+  EXPECT_GE(po, 1.0 + 0.0625);
 }
 
 // ---------------------------------------------------------------------------
@@ -347,6 +345,40 @@ TEST(CriticalPathIntegration, HonestUnderFaults) {
     expect_honest(run, overlap ? "faults/overlap" : "faults/additive");
     // A permanent straggler must show up in the ledger.
     EXPECT_GT(run.critical_path.mean.stall_s, 0.0);
+  }
+}
+
+TEST(CriticalPathIntegration, SkippedRoundsChargeNoCodec) {
+  // A skipped round exchanges nothing, so it attributes no codec seconds
+  // under either accounting; exchanged rounds still do.
+  Benchmark b = tiny_cnn();
+  faults::FaultSpec spec;
+  spec.seed = 5;
+  spec.skip_round_prob = 0.4;
+  const faults::FaultPlan plan(spec);
+  for (const bool overlap : {false, true}) {
+    TrainConfig cfg = tiny_config(b);
+    cfg.grace.compressor_spec = "topk(0.1)";
+    cfg.faults = &plan;
+    cfg.time.overlap = overlap;
+    const RunResult run = run_with_collector(b, cfg);
+    expect_honest(run, overlap ? "skip/overlap" : "skip/additive");
+    ASSERT_GT(run.faults.rounds_skipped, 0u);
+    const int64_t iters = run.samples_per_epoch /
+                          (cfg.n_workers * cfg.batch_per_worker);
+    const auto& ledger = run.critical_path.per_iteration;
+    ASSERT_EQ(static_cast<int64_t>(ledger.size()), iters * cfg.epochs);
+    uint64_t skipped = 0;
+    for (size_t i = 0; i < ledger.size(); ++i) {
+      const int epoch = static_cast<int>(static_cast<int64_t>(i) / iters);
+      if (plan.round_skipped(epoch, static_cast<int64_t>(i) % iters)) {
+        ++skipped;
+        EXPECT_EQ(ledger[i].codec_s, 0.0) << "iteration " << i;
+      } else if (!overlap) {
+        EXPECT_GT(ledger[i].codec_s, 0.0) << "iteration " << i;
+      }
+    }
+    EXPECT_EQ(skipped, run.faults.rounds_skipped);
   }
 }
 

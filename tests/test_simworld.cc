@@ -3,7 +3,10 @@
 // smoke coverage, and the JSON export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "comm/topology.h"
 #include "json_checker.h"
@@ -60,6 +63,52 @@ TEST(SimWorld, TransportTotalsMatchThreadWorldExactly) {
                     (real.samples_per_epoch /
                      (cfg.n_workers * cfg.batch_per_worker)));
       EXPECT_EQ(sim.topology, real.topology);
+    }
+  }
+}
+
+// Both worlds price through the same core (sim/pricing.h), so with the
+// measured codec seconds switched off (compression_time_scale 0 leaves only
+// the fixed per-tensor cost) a uniform, fault-free run must cost the same
+// simulated seconds in either world: device times bitwise, link and
+// iteration seconds to summation-order rounding.
+TEST(SimWorld, SimulatedSecondsMatchThreadWorld) {
+  Benchmark b = make_cnn_classification(0.1);
+  struct Case {
+    comm::TopologyKind kind;
+    int ps_shards;
+    int ranks_per_rack;
+  };
+  const Case cases[] = {
+      {comm::TopologyKind::Ring, 1, 8},
+      {comm::TopologyKind::ParameterServer, 2, 8},
+      {comm::TopologyKind::Hierarchical, 1, 2},
+  };
+  auto rel = [](double a, double b) {
+    return std::fabs(a - b) / std::max(std::fabs(b), 1e-300);
+  };
+  for (const char* spec : {"none", "topk(0.1)"}) {
+    for (const Case& c : cases) {
+      for (const bool overlap : {false, true}) {
+        TrainConfig cfg = small_config(b, 4);
+        cfg.epochs = 1;
+        cfg.grace.compressor_spec = spec;
+        cfg.grace.topology.kind = c.kind;
+        cfg.grace.topology.ps_shards = c.ps_shards;
+        cfg.grace.topology.ranks_per_rack = c.ranks_per_rack;
+        cfg.time.compression_time_scale = 0.0;
+        cfg.time.overlap = overlap;
+
+        RunResult real = train(b.factory, cfg);
+        ScaleResult sim = simulate_scale(b.factory, cfg);
+
+        SCOPED_TRACE(std::string(spec) + " / " + sim.topology +
+                     (overlap ? " / overlap" : " / additive"));
+        EXPECT_EQ(sim.compute_s, real.compute_s);
+        EXPECT_EQ(sim.optimizer_s, real.optimizer_s);
+        EXPECT_LE(rel(sim.comm_s, real.comm_s), 1e-12);
+        EXPECT_LE(rel(sim.iteration_s, real.iteration_s), 1e-12);
+      }
     }
   }
 }

@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
+#include "comm/fleet.h"
 #include "data/synthetic_images.h"
 #include "json_checker.h"
 #include "models/cnn_small.h"
@@ -198,6 +200,35 @@ TEST(TraceSmoke, PhasesSumToIterationTime) {
               run.compress_s * 1e-9 + 1e-15);
   EXPECT_DOUBLE_EQ(run.phases.comm_s, run.comm_s);
   EXPECT_DOUBLE_EQ(run.phases.optimizer_s, run.optimizer_s);
+}
+
+TEST(TraceSmoke, CompressEndsWhereCommStartsOnANonUniformFleet) {
+  // Under additive accounting a bucket's link stage starts the moment its
+  // compress stage ends, so the traced Compress span (priced at the rank's
+  // compute_scale) must end bitwise on its Comm start, on every rank.
+  TinyRun r = tiny_run(4);
+  std::vector<comm::LinkProfile> lp(4);
+  lp[2].compute_scale = 3.0;
+  r.cfg.fleet = comm::FleetProfile(std::move(lp), "slow-rank-2");
+  Trace trace(r.cfg.n_workers);
+  r.cfg.trace = &trace;
+  train(r.factory, r.cfg);
+
+  const std::vector<TraceEvent> events = trace.events();
+  std::vector<int> compress_events(4, 0);
+  for (size_t i = 0; i + 1 < events.size(); ++i) {
+    const TraceEvent& c = events[i];
+    if (c.phase != Phase::Compress) continue;
+    const TraceEvent& m = events[i + 1];  // recorded right after
+    ASSERT_EQ(m.phase, Phase::Comm);
+    ASSERT_EQ(m.rank, c.rank);
+    ASSERT_EQ(m.iter, c.iter);
+    ASSERT_EQ(m.tensor, c.tensor);
+    EXPECT_EQ(c.start_s + c.seconds, m.start_s)
+        << "rank " << c.rank << " iter " << c.iter << " bucket " << c.tensor;
+    ++compress_events[static_cast<size_t>(c.rank)];
+  }
+  for (int n : compress_events) EXPECT_GT(n, 0);
 }
 
 TEST(TraceSmoke, TracingDoesNotPerturbTraining) {
